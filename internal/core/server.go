@@ -47,6 +47,55 @@ type Server struct {
 	vm     *vm.VM
 	bodies map[*bytecode.Method][3]*isa.Code
 	status map[string]*MobileStatus
+	replay replayMemo
+}
+
+// Host-side replay bounds: a server keeps the outcome of its recent
+// distinct executions so a repeated offload costs a lookup instead of
+// a full ISA/cache simulation; the bounds cap what one server holds.
+const (
+	replayMaxEntries = 256
+	replayMaxBytes   = 1 << 20
+)
+
+// replayKey identifies an execution by what determines its outcome:
+// the method and its serialized arguments.
+type replayKey struct {
+	m    *bytecode.Method
+	args string
+}
+
+// replayEntry is one recorded execution: its serialized result and the
+// VM time it took, without the per-request overhead.
+type replayEntry struct {
+	res    []byte
+	vmTime energy.Seconds
+}
+
+// replayMemo is the server's execution memo, a map with FIFO eviction.
+// A replay is exact: every real run starts from a fresh heap, flushed
+// caches and a zero account, and every code or bytecode address a run
+// touches is fixed once first resolved, so re-running a key would give
+// the same bytes and the same time. Callers hold Server.mu.
+type replayMemo struct {
+	entries map[replayKey]replayEntry
+	order   []replayKey
+	bytes   int
+}
+
+func (r *replayMemo) put(k replayKey, e replayEntry) {
+	if r.entries == nil {
+		r.entries = map[replayKey]replayEntry{}
+	}
+	r.entries[k] = e
+	r.order = append(r.order, k)
+	r.bytes += len(k.args) + len(e.res)
+	for len(r.order) > replayMaxEntries || r.bytes > replayMaxBytes {
+		old := r.order[0]
+		r.order = r.order[1:]
+		r.bytes -= len(old.args) + len(r.entries[old].res)
+		delete(r.entries, old)
+	}
 }
 
 // MobileStatus is one row of the mobile status table.
@@ -131,7 +180,9 @@ func (s *Server) noteRequest(clientID string, reqTime, estEnd, serverTime energy
 // arguments and returns the serialized result plus the server
 // computation time. reqTime and estEnd update the mobile status table;
 // queued reports whether the result had to wait for the client to
-// wake.
+// wake. A request whose method and arguments the server has executed
+// recently replays the recorded result and VM time instead of running
+// again (see replayMemo).
 func (s *Server) Execute(ctx context.Context, clientID, class, method string, argBytes []byte,
 	reqTime, estEnd energy.Seconds) (resBytes []byte, serverTime energy.Seconds, queued bool, err error) {
 
@@ -156,21 +207,16 @@ func (s *Server) Execute(ctx context.Context, clientID, class, method string, ar
 	st.RequestTime = reqTime
 	st.EstimatedEnd = estEnd
 
-	s.vm.ResetRun(true)
-	s.vm.Acct.Reset()
-	args, err := s.vm.Heap.DecodeArgs(m, argBytes)
-	if err != nil {
-		return nil, 0, false, err
+	key := replayKey{m: m, args: string(argBytes)}
+	e, ok := s.replay.entries[key]
+	if !ok {
+		if e, err = s.run(m, argBytes); err != nil {
+			return nil, 0, false, err
+		}
+		s.replay.put(key, e)
 	}
-	res, err := s.vm.Invoke(m, args)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("core: remote execution of %s failed: %w", m.QName(), err)
-	}
-	resBytes, err = s.vm.Heap.EncodeValue(m.Ret.Kind, res)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	serverTime = s.vm.Acct.Time() + s.RequestOverhead
+	resBytes = e.res
+	serverTime = e.vmTime + s.RequestOverhead
 
 	// Mobile status table check: if the computation finished before
 	// the client's estimated wake time, the result is queued until the
@@ -183,6 +229,26 @@ func (s *Server) Execute(ctx context.Context, clientID, class, method string, ar
 		st.Queued = false
 	}
 	return resBytes, serverTime, queued, nil
+}
+
+// run executes m on the server VM from a fresh heap, flushed caches
+// and a zero account. Callers hold s.mu.
+func (s *Server) run(m *bytecode.Method, argBytes []byte) (replayEntry, error) {
+	s.vm.ResetRun(true)
+	s.vm.Acct.Reset()
+	args, err := s.vm.Heap.DecodeArgs(m, argBytes)
+	if err != nil {
+		return replayEntry{}, err
+	}
+	res, err := s.vm.Invoke(m, args)
+	if err != nil {
+		return replayEntry{}, fmt.Errorf("core: remote execution of %s failed: %w", m.QName(), err)
+	}
+	resBytes, err := s.vm.Heap.EncodeValue(m.Ret.Kind, res)
+	if err != nil {
+		return replayEntry{}, err
+	}
+	return replayEntry{res: resBytes, vmTime: s.vm.Acct.Time()}, nil
 }
 
 // CompiledBody returns (and caches) the native body of the named

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -105,6 +106,43 @@ func TestFig7ShapesAndDeterminism(t *testing.T) {
 	}
 	if res.Normalized != res2.Normalized {
 		t.Error("identical Fig 7 runs differ")
+	}
+}
+
+// TestFig7NormalizedBitStable: the per-situation average over apps is
+// summed in envs order, so repeated runs agree to the last bit. With
+// three or more apps a summation order taken from a map would change
+// the rounding from run to run.
+func TestFig7NormalizedBitStable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("repeats a three-app Fig 7 grid; skipped under -short")
+	}
+	// fe plus the two apps that prepare and run fastest.
+	envs := []*Env{testEnvs(t)[0]}
+	for _, a := range []*apps.App{apps.PF(), apps.Jess()} {
+		env, err := Prepare(a, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs = append(envs, env)
+	}
+	const runs = 2
+	first, err := RunFig7On(nil, envs, runs, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rep := 0; rep < 3; rep++ {
+		again, err := RunFig7On(NewRunner(2), envs, runs, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sit := range first.Normalized {
+			for si, v := range first.Normalized[sit] {
+				if w := again.Normalized[sit][si]; math.Float64bits(v) != math.Float64bits(w) {
+					t.Fatalf("rep %d: Normalized[%d][%d] = %v, first run %v", rep, sit, si, w, v)
+				}
+			}
+		}
 	}
 }
 

@@ -178,14 +178,16 @@ func RunFig7On(r *Runner, envs []*Env, runs int, seed uint64) (*Fig7Result, erro
 			}
 		}
 	}
-	// Normalize to L1 per app, then average over apps.
+	// Normalize to L1 per app, then average over apps. The sum runs in
+	// envs order, not map order, so Normalized is bit-stable.
 	for sit := Situation(0); sit < NumSituations; sit++ {
 		l1 := res.Cells[sit][indexOf(core.StrategyL1)]
 		for si := range core.Strategies {
 			var sum float64
 			var n int
-			for app, cell := range res.Cells[sit][si] {
-				base := l1[app].Energy
+			for _, env := range envs {
+				cell := res.Cells[sit][si][env.App.Name]
+				base := l1[env.App.Name].Energy
 				if base > 0 {
 					sum += float64(cell.Energy) / float64(base)
 					n++

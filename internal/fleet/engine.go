@@ -650,7 +650,10 @@ func (e *engine) liveSessions() bool {
 // at the given virtual time. The server work itself executes here,
 // under the engine lock: Server.Execute serializes on its own mutex
 // anyway, and running it at dispatch keeps the request's service time
-// available for the completion event.
+// available for the completion event. Only a backend's first request
+// for a given method and input simulates the execution; repeats replay
+// the backend's recorded result in microseconds, so the lock is held
+// long only while each backend meets its distinct inputs.
 func (e *engine) start(q *request, b *poolBackend, at energy.Seconds) {
 	wait := at - q.t
 	// Placement-aware warmup: when the session's work re-homes away
