@@ -28,7 +28,6 @@ func main() {
 	profiler := &core.Profiler{
 		Prog:        prog,
 		ClientModel: energy.MicroSPARCIIep(),
-		ServerModel: energy.ServerSPARC(),
 		Seed:        9,
 	}
 	target := app.Target()

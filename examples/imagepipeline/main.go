@@ -59,7 +59,6 @@ func main() {
 	profiler := &core.Profiler{
 		Prog:        prog,
 		ClientModel: energy.MicroSPARCIIep(),
-		ServerModel: energy.ServerSPARC(),
 		Seed:        17,
 	}
 	for _, a := range stages {

@@ -29,7 +29,6 @@ func main() {
 	profiler := &core.Profiler{
 		Prog:        prog,
 		ClientModel: energy.MicroSPARCIIep(),
-		ServerModel: energy.ServerSPARC(),
 		Seed:        3,
 	}
 	target := app.Target()

@@ -64,7 +64,6 @@ func main() {
 	profiler := &core.Profiler{
 		Prog:        prog,
 		ClientModel: energy.MicroSPARCIIep(),
-		ServerModel: energy.ServerSPARC(),
 		Seed:        1,
 	}
 	prof, err := profiler.ProfileTarget(target)

@@ -130,7 +130,7 @@ func TestRemoteMatchesReference(t *testing.T) {
 				ID: "c", Prog: p, Server: server,
 				Channel: radio.Fixed{Cls: radio.Class4}, Strategy: core.StrategyR, Seed: 3,
 			})
-			pr := &core.Profiler{Prog: p, ClientModel: energy.MicroSPARCIIep(), ServerModel: energy.ServerSPARC(), Seed: 11}
+			pr := &core.Profiler{Prog: p, ClientModel: energy.MicroSPARCIIep(), Seed: 11}
 			target := appTargetFor(a, p)
 			prof, err := pr.ProfileTarget(target)
 			if err != nil {
@@ -194,7 +194,7 @@ func TestProfilesFitWell(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pr := &core.Profiler{Prog: p, ClientModel: energy.MicroSPARCIIep(), ServerModel: energy.ServerSPARC(), Seed: 5}
+			pr := &core.Profiler{Prog: p, ClientModel: energy.MicroSPARCIIep(), Seed: 5}
 			target := appTargetFor(a, p)
 			prof, err := pr.ProfileTarget(target)
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"fmt"
+	"math"
 	"testing"
 
 	"greenvm/internal/bytecode"
@@ -93,7 +94,7 @@ func TestRecompileChargesAgain(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2 := c.VM.Acct.Component(energy.CompCompile)
-	if rel := abs(float64(e2)-2*float64(e1)) / float64(e1); rel > 1e-9 {
+	if rel := math.Abs(float64(e2)-2*float64(e1)) / float64(e1); rel > 1e-9 {
 		t.Errorf("second execution compile charge %v, want doubled %v", e2, 2*e1)
 	}
 	if c.Stats.LocalCompiles != 4 { // 2 methods x 2 executions

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"math"
 	"testing"
 
 	"greenvm/internal/bytecode"
@@ -84,7 +85,6 @@ func newProfiler(p *bytecode.Program) *Profiler {
 	return &Profiler{
 		Prog:        p,
 		ClientModel: energy.MicroSPARCIIep(),
-		ServerModel: energy.ServerSPARC(),
 		Seed:        99,
 	}
 }
@@ -439,7 +439,7 @@ func TestMemoReplayMatchesReal(t *testing.T) {
 			return float64(c.Energy())
 		}
 		real, memo := run(false), run(true)
-		rel := abs(real-memo) / real
+		rel := math.Abs(real-memo) / real
 		if rel > 0.01 {
 			t.Errorf("%v: memoized energy %g differs from real %g by %.3f%%", s, memo, real, rel*100)
 		}

@@ -46,7 +46,6 @@ class App {
 	profiler := &core.Profiler{
 		Prog:        prog,
 		ClientModel: energy.MicroSPARCIIep(),
-		ServerModel: energy.ServerSPARC(),
 		Seed:        1,
 	}
 	prof, err := profiler.ProfileTarget(target)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"greenvm/internal/bytecode"
 	"greenvm/internal/energy"
@@ -65,10 +66,11 @@ type Profile struct {
 }
 
 // Profiler measures methods on scratch VMs and fits estimator curves.
+// The server side of the profile describes the server every offload
+// runs on (energy.ServerSPARC, as Server uses).
 type Profiler struct {
 	Prog        *bytecode.Program
 	ClientModel *energy.CPUModel
-	ServerModel *energy.CPUModel
 	Seed        uint64
 }
 
@@ -115,31 +117,114 @@ func compilePlan(prog *bytecode.Program, root *bytecode.Method) []*bytecode.Meth
 	return order
 }
 
-// runOnce executes the target once on a fresh VM in the given local
-// mode and returns (result, energy, time).
-func runOnce(prog *bytecode.Program, model *energy.CPUModel, t *Target,
-	size int, seed uint64, mode Mode, bodies map[*bytecode.Method]*isa.Code) (vm.Slot, energy.Joules, energy.Seconds, error) {
+// planBodies is a compilation plan's native bodies at each
+// optimization level: planBodies[level-1] maps every plan method to
+// its body.
+type planBodies [3]map[*bytecode.Method]*isa.Code
 
-	v := vm.New(prog, model)
-	m := prog.FindMethod(t.Class, t.Method)
-	if m == nil {
-		return vm.Slot{}, 0, 0, fmt.Errorf("core: no method %s", t.QName())
+// compilePlanBodies compiles every plan method at every level through
+// the shared JIT memo. stats[level-1][i] describes plan[i]'s
+// compilation at that level.
+func compilePlanBodies(prog *bytecode.Program, plan []*bytecode.Method) (planBodies, [3][]*jit.Stats, error) {
+	var bodies planBodies
+	var stats [3][]*jit.Stats
+	for lv := jit.Level1; lv <= jit.Level3; lv++ {
+		bodies[lv-jit.Level1] = make(map[*bytecode.Method]*isa.Code, len(plan))
+		for _, mm := range plan {
+			code, st, err := jit.CompileCached(prog, mm, lv)
+			if err != nil {
+				return planBodies{}, [3][]*jit.Stats{}, err
+			}
+			bodies[lv-jit.Level1][mm] = code
+			stats[lv-jit.Level1] = append(stats[lv-jit.Level1], st)
+		}
 	}
+	return bodies, stats, nil
+}
+
+// profileRun is one measured execution of a profiled target.
+type profileRun struct {
+	energy energy.Joules
+	time   energy.Seconds
+	cycles uint64
+	// txBytes and rxBytes are the serialized argument and result
+	// sizes, set only when the run was asked to serialize.
+	txBytes, rxBytes int
+}
+
+// measure executes the target once on a fresh client VM in the given
+// local mode, excluding input construction from the account. With
+// wire set it also serializes the arguments and the result; encoding
+// only reads the heap, so it leaves every charge of the run unchanged.
+func (p *Profiler) measure(t *Target, m *bytecode.Method, bodies planBodies,
+	size int, seed uint64, mode Mode, wire bool) (profileRun, error) {
+
+	v := vm.New(p.Prog, p.ClientModel)
 	if mode.IsCompiled() {
-		v.Dispatch = vm.DispatchFunc(func(mm *bytecode.Method) *isa.Code { return bodies[mm] })
+		levelBodies := bodies[mode.Level()-jit.Level1]
+		v.Dispatch = vm.DispatchFunc(func(mm *bytecode.Method) *isa.Code { return levelBodies[mm] })
 	}
 	args, err := t.MakeArgs(v, size, rng.New(seed))
 	if err != nil {
-		return vm.Slot{}, 0, 0, err
+		return profileRun{}, err
 	}
-	// Exclude input construction from the measurement.
+	var r profileRun
+	if wire {
+		ab, err := v.Heap.EncodeArgs(m, args)
+		if err != nil {
+			return profileRun{}, err
+		}
+		r.txBytes = len(ab)
+	}
 	v.Acct.Reset()
 	v.Hier.Flush()
 	res, err := v.Invoke(m, args)
 	if err != nil {
-		return vm.Slot{}, 0, 0, fmt.Errorf("core: profiling %s at %v: %w", t.QName(), mode, err)
+		return profileRun{}, fmt.Errorf("core: profiling %s at %v: %w", t.QName(), mode, err)
 	}
-	return res, v.Acct.Total(), v.Acct.Time(), nil
+	if wire {
+		rb, err := v.Heap.EncodeValue(m.Ret.Kind, res)
+		if err != nil {
+			return profileRun{}, err
+		}
+		r.rxBytes = len(rb)
+	}
+	r.energy, r.time, r.cycles = v.Acct.Total(), v.Acct.Time(), v.Acct.Cycles
+	return r, nil
+}
+
+// measureSizes measures the target at each size with four simulations
+// per size, one per local mode. The interpreted run also yields the
+// wire sizes. The server time comes from the L3 run's cycle count: the
+// server is the handset's ISA and cache hierarchy at a faster clock,
+// so it charges exactly the cycles the handset does at L3, and the
+// quotient below is the expression Account.Time evaluates on it.
+func (p *Profiler) measureSizes(t *Target, m *bytecode.Method, bodies planBodies, sizes []int) ([]measurement, error) {
+	server := energy.ServerSPARC()
+	if p.ClientModel.MissPenaltyCycles != server.MissPenaltyCycles {
+		return nil, fmt.Errorf("core: profiler client model %s stalls %d cycles per miss, the server %d; server time is derived from client cycles",
+			p.ClientModel.Name, p.ClientModel.MissPenaltyCycles, server.MissPenaltyCycles)
+	}
+	ms := make([]measurement, 0, len(sizes))
+	for _, size := range sizes {
+		mr := measurement{size: size}
+		for mode := ModeInterp; mode <= ModeL3; mode++ {
+			r, err := p.measure(t, m, bodies, size, p.Seed, mode, mode == ModeInterp)
+			if err != nil {
+				return nil, err
+			}
+			mr.energy[mode] = float64(r.energy)
+			mr.time[mode] = float64(r.time)
+			switch mode {
+			case ModeInterp:
+				mr.txBytes, mr.rxBytes = float64(r.txBytes), float64(r.rxBytes)
+			case ModeL3:
+				mr.servTime = float64(energy.Seconds(float64(r.cycles) / server.ClockHz))
+			}
+		}
+		ms = append(ms, mr)
+	}
+	return ms, nil
 }
 
 // ProfileTarget measures the target across its size grid, fits the
@@ -154,75 +239,31 @@ func (p *Profiler) ProfileTarget(t *Target) (*Profile, error) {
 		return nil, fmt.Errorf("core: %s: need at least 4 profile sizes", t.QName())
 	}
 	plan := compilePlan(p.Prog, m)
+	bodies, stats, err := compilePlanBodies(p.Prog, plan)
+	if err != nil {
+		return nil, err
+	}
 
 	prof := &Profile{Target: t}
 
-	// Compile the plan once per level: cost and code size.
-	bodiesByLevel := [3]map[*bytecode.Method]*isa.Code{}
+	// Per-level plan compile cost and code size.
 	for lv := jit.Level1; lv <= jit.Level3; lv++ {
-		bodies := map[*bytecode.Method]*isa.Code{}
 		acct := energy.NewAccount(p.ClientModel)
 		total := 0
-		for _, mm := range plan {
-			code, st, err := jit.CompileCached(p.Prog, mm, lv)
-			if err != nil {
-				return nil, err
-			}
+		for i, st := range stats[lv-jit.Level1] {
 			st.Charge(acct)
 			total += st.CodeBytes()
-			bodies[mm] = code
 			// Per-method attributes for the AA compile decision.
-			mm.SetAttr(fmt.Sprintf("compile.energy.%s", lv), float64(st.Energy(p.ClientModel)))
-			mm.SetAttr(fmt.Sprintf("compile.bytes.%s", lv), float64(st.CodeBytes()))
+			plan[i].SetAttr(fmt.Sprintf("compile.energy.%s", lv), float64(st.Energy(p.ClientModel)))
+			plan[i].SetAttr(fmt.Sprintf("compile.bytes.%s", lv), float64(st.CodeBytes()))
 		}
 		prof.CompileEnergy[lv-jit.Level1] = acct.Total()
 		prof.PlanCodeBytes[lv-jit.Level1] = total
-		bodiesByLevel[lv-jit.Level1] = bodies
 	}
 
-	// Measure the size grid.
-	var ms []measurement
-	for _, size := range t.ProfileSizes {
-		mr := measurement{size: size}
-		for mode := ModeInterp; mode <= ModeL3; mode++ {
-			var bodies map[*bytecode.Method]*isa.Code
-			if mode.IsCompiled() {
-				// Install fresh code addresses per measurement VM.
-				bodies = bodiesByLevel[mode.Level()-jit.Level1]
-			}
-			_, e, tt, err := runOnce(p.Prog, p.ClientModel, t, size, p.Seed, mode, bodies)
-			if err != nil {
-				return nil, err
-			}
-			mr.energy[mode] = float64(e)
-			mr.time[mode] = float64(tt)
-		}
-		// Serialized sizes and server time.
-		v := vm.New(p.Prog, p.ClientModel)
-		args, err := t.MakeArgs(v, size, rng.New(p.Seed))
-		if err != nil {
-			return nil, err
-		}
-		ab, err := v.Heap.EncodeArgs(m, args)
-		if err != nil {
-			return nil, err
-		}
-		mr.txBytes = float64(len(ab))
-		res, err := v.Invoke(m, args)
-		if err != nil {
-			return nil, err
-		}
-		rb, err := v.Heap.EncodeValue(m.Ret.Kind, res)
-		if err != nil {
-			return nil, err
-		}
-		mr.rxBytes = float64(len(rb))
-		_, _, st, err := runOnce(p.Prog, p.ServerModel, t, size, p.Seed, ModeL3, bodiesByLevel[2])
-		if err != nil {
-			return nil, err
-		}
-		mr.servTime = float64(st)
-		ms = append(ms, mr)
+	ms, err := p.measureSizes(t, m, bodies, t.ProfileSizes)
+	if err != nil {
+		return nil, err
 	}
 
 	// Fit curves.
@@ -245,7 +286,6 @@ func (p *Profiler) ProfileTarget(t *Target) (*Profile, error) {
 	// the deterministic measurements within 2% (cache-regime changes),
 	// the profile falls back to a table-assisted estimator.
 	const fitTol = 0.02
-	var err error
 	for mode := ModeInterp; mode <= ModeL3; mode++ {
 		mode := mode
 		if prof.EnergyOf[mode], err = fit.BestPredictor(xs, column(func(m measurement) float64 { return m.energy[mode] }), fitTol, bases...); err != nil {
@@ -288,103 +328,28 @@ func (p *Profiler) ProfileTarget(t *Target) (*Profile, error) {
 // worst relative error of the local-mode energy estimators — the
 // paper's "within 2% of the actual energy value" check.
 func (p *Profiler) ValidateProfile(t *Target, prof *Profile, sizes []int) (float64, error) {
-	worst := 0.0
 	m := p.Prog.FindMethod(t.Class, t.Method)
-	plan := compilePlan(p.Prog, m)
-	bodiesByLevel := [3]map[*bytecode.Method]*isa.Code{}
-	for lv := jit.Level1; lv <= jit.Level3; lv++ {
-		bodies := map[*bytecode.Method]*isa.Code{}
-		for _, mm := range plan {
-			code, _, err := jit.CompileCached(p.Prog, mm, lv)
-			if err != nil {
-				return 0, err
-			}
-			bodies[mm] = code
-		}
-		bodiesByLevel[lv-jit.Level1] = bodies
+	if m == nil {
+		return 0, fmt.Errorf("core: no method %s", t.QName())
 	}
+	bodies, _, err := compilePlanBodies(p.Prog, compilePlan(p.Prog, m))
+	if err != nil {
+		return 0, err
+	}
+	worst := 0.0
 	for _, size := range sizes {
 		for mode := ModeInterp; mode <= ModeL3; mode++ {
-			var bodies map[*bytecode.Method]*isa.Code
-			if mode.IsCompiled() {
-				bodies = bodiesByLevel[mode.Level()-jit.Level1]
-			}
-			_, e, _, err := runOnce(p.Prog, p.ClientModel, t, size, p.Seed+1, mode, bodies)
+			r, err := p.measure(t, m, bodies, size, p.Seed+1, mode, false)
 			if err != nil {
 				return 0, err
 			}
 			est := prof.EnergyOf[mode].Eval(float64(size))
-			actual := float64(e)
-			if actual > 0 {
-				rel := abs(est-actual) / actual
-				if rel > worst {
+			if actual := float64(r.energy); actual > 0 {
+				if rel := math.Abs(est-actual) / actual; rel > worst {
 					worst = rel
 				}
 			}
 		}
 	}
 	return worst, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// MeasureOnce runs the target once, interpreted, on a fresh client VM
-// with the given input seed; exposed for calibration tooling.
-func MeasureOnce(prog *bytecode.Program, t *Target, size int, seed uint64) (energy.Joules, error) {
-	_, e, _, err := runOnce(prog, energy.MicroSPARCIIep(), t, size, seed, ModeInterp, nil)
-	return e, err
-}
-
-// ValidateProfileDetail reports per-mode estimator errors at one size;
-// exposed for calibration tooling.
-func (p *Profiler) ValidateProfileDetail(t *Target, prof *Profile, size int) ([4]float64, error) {
-	var out [4]float64
-	m := p.Prog.FindMethod(t.Class, t.Method)
-	plan := compilePlan(p.Prog, m)
-	for mode := ModeInterp; mode <= ModeL3; mode++ {
-		var bodies map[*bytecode.Method]*isa.Code
-		if mode.IsCompiled() {
-			bodies = map[*bytecode.Method]*isa.Code{}
-			for _, mm := range plan {
-				code, _, err := jit.CompileCached(p.Prog, mm, mode.Level())
-				if err != nil {
-					return out, err
-				}
-				bodies[mm] = code
-			}
-		}
-		_, e, _, err := runOnce(p.Prog, p.ClientModel, t, size, p.Seed+1, mode, bodies)
-		if err != nil {
-			return out, err
-		}
-		actual := float64(e)
-		if actual > 0 {
-			out[mode] = abs(prof.EnergyOf[mode].Eval(float64(size))-actual) / actual
-		}
-	}
-	return out, nil
-}
-
-// MeasureOnceMode runs the target once in the given local mode;
-// exposed for calibration tooling.
-func MeasureOnceMode(prog *bytecode.Program, t *Target, size int, seed uint64, mode Mode) (energy.Joules, error) {
-	var bodies map[*bytecode.Method]*isa.Code
-	if mode.IsCompiled() {
-		m := prog.FindMethod(t.Class, t.Method)
-		bodies = map[*bytecode.Method]*isa.Code{}
-		for _, mm := range compilePlan(prog, m) {
-			code, _, err := jit.CompileCached(prog, mm, mode.Level())
-			if err != nil {
-				return 0, err
-			}
-			bodies[mm] = code
-		}
-	}
-	_, e, _, err := runOnce(prog, energy.MicroSPARCIIep(), t, size, seed, mode, bodies)
-	return e, err
 }

@@ -41,7 +41,6 @@ func MeasureEstimatorAccuracyOn(r *Runner, envs []*Env, seed uint64) (map[string
 		pr := &core.Profiler{
 			Prog:        env.Prog,
 			ClientModel: energy.MicroSPARCIIep(),
-			ServerModel: energy.ServerSPARC(),
 			Seed:        seed,
 		}
 		ps := env.App.ProfileSizes

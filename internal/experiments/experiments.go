@@ -41,7 +41,6 @@ func Prepare(a *apps.App, seed uint64) (*Env, error) {
 	pr := &core.Profiler{
 		Prog:        prog,
 		ClientModel: energy.MicroSPARCIIep(),
-		ServerModel: energy.ServerSPARC(),
 		Seed:        seed,
 	}
 	prof, err := pr.ProfileTarget(target)

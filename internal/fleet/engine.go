@@ -218,6 +218,10 @@ type engine struct {
 	live        int // launched and not yet finished
 	ahead       int // launch-ahead pipeline bound
 	finished    int
+	// finishedBound is the largest bound any session finished at: the
+	// virtual time up to which finished sessions keep the tick and flap
+	// chains going (see reschedules).
+	finishedBound energy.Seconds
 
 	events  eventHeap
 	doneSeq int // deterministic completion-event tie-break
@@ -453,6 +457,9 @@ func (e *engine) finish(s *session) {
 	e.boundRemove(int32(s.idx))
 	s.state = stateFinished
 	e.finished++
+	if s.bound > e.finishedBound {
+		e.finishedBound = s.bound
+	}
 	e.live--
 	e.process()
 	e.mu.Unlock()
@@ -489,9 +496,9 @@ func (e *engine) drain() {
 			e.rec.boundary(int64(ev.tie), e.pool)
 			// The next boundary is tick*(k+1), a product — accumulated
 			// tick times would drift and break cross-run byte equality.
-			// The liveSessions gate bounds the cycle exactly like flap
+			// The chain stops where the sessions' bounds end, like flap
 			// rescheduling: the final in-flight tick drains at the end.
-			if e.liveSessions() {
+			if e.reschedules(ev.t) {
 				heap.Push(&e.events, event{t: e.rec.tickAt(int64(ev.tie) + 1), kind: evTick, tie: ev.tie + 1})
 			}
 		case evFail:
@@ -616,8 +623,9 @@ func (e *engine) complete(ev event) {
 // machinery, strike that backend's breaker, and re-place on the
 // survivors), running requests complete, and placement stops
 // considering the backend. A flapping backend also schedules its
-// restart and — while any session still runs — its next crash, so the
-// cycle cannot outlive the fleet and spin the event loop forever.
+// restart and — while the crash falls within the sessions' bounds —
+// its next crash, so the cycle cannot outlive the fleet and spin the
+// event loop forever.
 func (e *engine) failBackend(ev event) {
 	b := e.pool.backends[ev.bidx]
 	b.down = true
@@ -634,16 +642,21 @@ func (e *engine) failBackend(ev event) {
 	}
 	if b.chaos.FlapAt > 0 && b.chaos.FlapDown > 0 {
 		heap.Push(&e.events, event{t: ev.t + b.chaos.FlapDown, kind: evRecover, tie: b.idx, bidx: b.idx})
-		if b.chaos.FlapEvery > 0 && e.liveSessions() {
+		if b.chaos.FlapEvery > 0 && e.reschedules(ev.t) {
 			heap.Push(&e.events, event{t: ev.t + b.chaos.FlapEvery, kind: evFail, tie: b.idx, bidx: b.idx})
 		}
 	}
 }
 
-// liveSessions reports whether any session has not finished — the
-// gate on re-scheduling flap cycles and telemetry ticks.
-func (e *engine) liveSessions() bool {
-	return e.finished < len(e.sessions)
+// reschedules reports whether a tick or flap event at virtual time t
+// schedules its successor: exactly when t is no later than the largest
+// bound any session finishes at. While a session is unfinished that
+// always holds, since its final bound is at least every t the horizon
+// lets through; once all have finished, finishedBound is that maximum.
+// Gating on which session retires last in host time instead would make
+// the end of the chains depend on goroutine scheduling.
+func (e *engine) reschedules(t energy.Seconds) bool {
+	return e.finished < len(e.sessions) || t <= e.finishedBound
 }
 
 // start runs one admitted request on a worker of backend b beginning

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -64,6 +66,59 @@ func TestTimeSeriesDeterministicAcrossConcurrency(t *testing.T) {
 	// perturb the simulation).
 	if !bytes.Equal(render(t, serial), render(t, parallel)) {
 		t.Error("fleet results diverged between serial and 8-way simulation")
+	}
+}
+
+// TestTelemetryTailIndependentOfHostTiming pins the end of a chaotic
+// fleet's run: the tick and flap chains must stop at the same virtual
+// time however the clients' goroutines interleave, so the
+// engine-sampled series (up, busy, depth, backend down/up, flushed) and
+// each backend's Flaps and Down repeat exactly. The spec is the
+// benchmark's chaos fleet at 40 fe clients x 2 executions, whose last
+// clients retire close together in host time.
+func TestTelemetryTailIndependentOfHostTiming(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	w := offloadWorkload(t)
+	build := func(conc int) Spec {
+		return Spec{
+			Workload: w,
+			Population: NewPopulation(40, WithSeed(6),
+				WithStrategyMix(core.StrategyR, core.StrategyAL, core.StrategyAA),
+				WithExecutions(2), WithSizes(20000),
+				WithArrivalCurve(ArrivalSpec{Kind: ArriveUniform, Span: 40.0 / 4800})),
+			Server:  core.SessionConfig{Workers: 2, QueueCap: 16},
+			Servers: 2,
+			Chaos: []BackendChaos{
+				{FlapAt: 0.001, FlapDown: 0.002, FlapEvery: 0.004, LossRate: 0.35, LossBurst: 4},
+				{BrownoutAt: 0.0005, BrownoutFactor: 6},
+			},
+			Telemetry:   &TelemetrySpec{Tick: 0.0005},
+			Concurrency: conc,
+		}
+	}
+	tail := func(conc int) string {
+		res, err := Run(build(conc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, be := range res.Backends {
+			fmt.Fprintf(&b, "%s flaps=%d down=%v\n", be.ID, be.Flaps, be.Down)
+		}
+		b.Write(seriesJSONL(t, res))
+		return b.String()
+	}
+	want := tail(1)
+	runs := 8
+	if testing.Short() {
+		runs = 2
+	}
+	for i := 0; i < runs; i++ {
+		if got := tail(4); got != want {
+			t.Fatalf("run %d at concurrency 4: backend outcomes or time series differ from the serial run", i)
+		}
 	}
 }
 
