@@ -173,18 +173,16 @@ func BenchmarkFleet(b *testing.B) {
 		b.Run(fmt.Sprintf("slots=%d", conc), func(b *testing.B) {
 			var rate float64
 			for i := 0; i < b.N; i++ {
-				spec := fleet.MixedFleet(w, 16,
-					[]core.Strategy{core.StrategyR, core.StrategyAL, core.StrategyAA},
-					3, core.SessionConfig{Workers: 2, QueueCap: 4}, 42)
-				spec.Concurrency = conc
-				res, err := fleet.Run(spec)
+				res, err := fleet.Run(fleet.Spec{Workload: w,
+					Population: fleet.NewPopulation(16, fleet.WithSeed(42),
+						fleet.WithStrategyMix(core.StrategyR, core.StrategyAL, core.StrategyAA),
+						fleet.WithExecutions(3)),
+					Server: core.SessionConfig{Workers: 2, QueueCap: 4}, Concurrency: conc})
 				if err != nil {
 					b.Fatal(err)
 				}
-				for _, c := range res.Clients {
-					if c.Err != "" {
-						b.Fatalf("client %s: %s", c.ID, c.Err)
-					}
+				if res.Totals.Errors > 0 {
+					b.Fatalf("%d clients failed", res.Totals.Errors)
 				}
 				rate = res.ShedRate()
 			}

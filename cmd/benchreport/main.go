@@ -18,7 +18,8 @@
 // benchreport is also the trajectory's regression gate: -compare
 // diffs ns_per_op against a previous report and exits non-zero when
 // any benchmark regressed past -threshold (default 15%), unless the
-// benchmark is named in -allow.
+// benchmark is named in -allow, or when any placement or chaos sweep
+// row differs from the previous report's.
 //
 // Finally it is the schema checker for the telemetry artifacts:
 // -validate-ts checks a fleetsim -timeseries JSONL file (header
@@ -96,7 +97,7 @@ type report struct {
 func main() {
 	out := flag.String("out", "BENCH_10.json", "report file; '-' for stdout")
 	execs := flag.Int("execs", 4, "executions per client in the placement sweep")
-	compare := flag.String("compare", "", "baseline report to diff ns_per_op against; non-zero exit on regression")
+	compare := flag.String("compare", "", "baseline report to diff ns_per_op and the sweep rows against; non-zero exit on regression or a changed row")
 	against := flag.String("against", "", "with -compare: diff this report file instead of running the benchmarks")
 	threshold := flag.Float64("threshold", 0.15, "with -compare: fractional ns_per_op growth that counts as a regression")
 	allow := flag.String("allow", "", "with -compare: comma-separated benchmark names exempt from the gate")
@@ -172,7 +173,7 @@ func gate(w io.Writer, basePath string, cur *report, threshold float64, allow ma
 		fmt.Fprintln(w, d)
 	}
 	if failed {
-		return fmt.Errorf("benchmark regression past %.0f%% threshold", 100*threshold)
+		return fmt.Errorf("benchmark regression past %.0f%% threshold, or sweep rows changed", 100*threshold)
 	}
 	return nil
 }
@@ -180,7 +181,8 @@ func gate(w io.Writer, basePath string, cur *report, threshold float64, allow ma
 // compareReports diffs ns_per_op per benchmark name. A benchmark
 // regresses when its time grew by more than threshold; allowlisted
 // names are reported but never fail the gate. Benchmarks present in
-// only one report are informational.
+// only one report are informational. The sweep rows are deterministic,
+// so any row that differs from the baseline's fails the gate.
 func compareReports(base, cur *report, threshold float64, allow map[string]bool) (lines []string, failed bool) {
 	old := map[string]benchEntry{}
 	for _, b := range base.Benches {
@@ -211,7 +213,26 @@ func compareReports(base, cur *report, threshold float64, allow map[string]bool)
 			lines = append(lines, fmt.Sprintf("  %-24s missing from current report", b.Name))
 		}
 	}
-	return lines, failed
+	sweeps := append(diffRows("placement_sweep", base.PlacementSweep, cur.PlacementSweep),
+		diffRows("chaos_sweep", base.ChaosSweep, cur.ChaosSweep)...)
+	return append(lines, sweeps...), failed || len(sweeps) > 0
+}
+
+// diffRows lists the rows of a sweep that differ between two reports,
+// matched by position.
+func diffRows[T comparable](name string, base, cur []T) []string {
+	var lines []string
+	for i := 0; i < max(len(base), len(cur)); i++ {
+		switch {
+		case i >= len(base):
+			lines = append(lines, fmt.Sprintf("  %s row %d: new %+v  SWEEP CHANGED", name, i, cur[i]))
+		case i >= len(cur):
+			lines = append(lines, fmt.Sprintf("  %s row %d: missing %+v  SWEEP CHANGED", name, i, base[i]))
+		case base[i] != cur[i]:
+			lines = append(lines, fmt.Sprintf("  %s row %d: %+v -> %+v  SWEEP CHANGED", name, i, base[i], cur[i]))
+		}
+	}
+	return lines
 }
 
 func produce(out string, execs int) (*report, error) {
@@ -226,6 +247,13 @@ func produce(out string, execs int) (*report, error) {
 	}
 	envs := []*experiments.Env{feEnv, sortEnv}
 	w := fleet.WorkloadOf(feEnv)
+	// cohort is the mixed-strategy population every fleet bench and
+	// sweep runs.
+	cohort := func(n, execs int) *fleet.Population {
+		return fleet.NewPopulation(n, fleet.WithSeed(42),
+			fleet.WithStrategyMix(core.StrategyR, core.StrategyAL, core.StrategyAA),
+			fleet.WithExecutions(execs))
+	}
 
 	rep := &report{Schema: 10, GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
 
@@ -259,18 +287,13 @@ func produce(out string, execs int) (*report, error) {
 		var rate float64
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				spec := fleet.MixedFleet(w, 16,
-					[]core.Strategy{core.StrategyR, core.StrategyAL, core.StrategyAA},
-					3, core.SessionConfig{Workers: 2, QueueCap: 4}, 42)
-				spec.Concurrency = conc
-				res, err := fleet.Run(spec)
+				res, err := fleet.Run(fleet.Spec{Workload: w, Population: cohort(16, 3),
+					Server: core.SessionConfig{Workers: 2, QueueCap: 4}, Concurrency: conc})
 				if err != nil {
 					b.Fatal(err)
 				}
-				for _, c := range res.Clients {
-					if c.Err != "" {
-						b.Fatalf("client %s: %s", c.ID, c.Err)
-					}
+				if res.Totals.Errors > 0 {
+					b.Fatalf("%d clients failed", res.Totals.Errors)
 				}
 				rate = res.ShedRate()
 			}
@@ -397,19 +420,14 @@ func produce(out string, execs int) (*report, error) {
 				placements = []fleet.Placement{fleet.PlaceCheapest}
 			}
 			for _, pl := range placements {
-				spec := fleet.MixedFleet(w, n,
-					[]core.Strategy{core.StrategyR, core.StrategyAL, core.StrategyAA},
-					execs, core.SessionConfig{Workers: aggregateWorkers / servers, QueueCap: queuePerBackend}, 42)
-				spec.Servers = servers
-				spec.Placement = pl
-				res, err := fleet.Run(spec)
+				res, err := fleet.Run(fleet.Spec{Workload: w, Population: cohort(n, execs),
+					Server:  core.SessionConfig{Workers: aggregateWorkers / servers, QueueCap: queuePerBackend},
+					Servers: servers, Placement: pl})
 				if err != nil {
 					return nil, err
 				}
-				for _, c := range res.Clients {
-					if c.Err != "" {
-						return nil, fmt.Errorf("sweep client %s: %s", c.ID, c.Err)
-					}
+				if res.Totals.Errors > 0 {
+					return nil, fmt.Errorf("placement sweep %d/%d/%s: %d clients failed", n, servers, pl, res.Totals.Errors)
 				}
 				rep.PlacementSweep = append(rep.PlacementSweep, sweepRow{
 					Clients: n, Servers: servers, Placement: pl.String(),
@@ -422,43 +440,22 @@ func produce(out string, execs int) (*report, error) {
 		}
 	}
 
-	// Chaos sweep: every canonical fault shape on backend s0 of a
-	// two-backend pool, crossed with placement and breaker scope. 12
-	// executions per client give an opened breaker invocations left to
-	// shape; the breaker prototype's cooldown outlives the
-	// inter-invocation gap for the same reason.
-	for _, shape := range fleet.SweepChaosShapes() {
-		for _, pl := range fleet.Placements {
-			for _, mode := range fleet.BreakerModes {
-				chaos := make([]fleet.BackendChaos, 2)
-				chaos[0] = shape.Chaos
-				spec := fleet.MixedFleet(w, 16,
-					[]core.Strategy{core.StrategyR, core.StrategyAL, core.StrategyAA},
-					12, core.SessionConfig{Workers: 2, QueueCap: 16}, 42)
-				spec.Servers = 2
-				spec.Placement = pl
-				spec.Chaos = chaos
-				spec.Breakers = mode
-				spec.Breaker = &core.Breaker{Threshold: 2, Cooldown: 0.05, MaxCooldown: 0.4, ProbeBytes: 16}
-				res, err := fleet.Run(spec)
-				if err != nil {
-					return nil, err
-				}
-				fallbacks := 0
-				for _, c := range res.Clients {
-					if c.Err != "" {
-						return nil, fmt.Errorf("chaos client %s: %s", c.ID, c.Err)
-					}
-					fallbacks += c.Stats.Fallbacks
-				}
-				rep.ChaosSweep = append(rep.ChaosSweep, chaosRow{
-					Fault: shape.Name, Placement: pl.String(), Breakers: mode.String(),
-					Served: res.Server.Served, Shed: res.Server.Shed,
-					Fallbacks: fallbacks, Failovers: res.TotalFailovers(),
-					Warmups: res.TotalWarmups(), EnergyJ: float64(res.TotalEnergy()),
-				})
-			}
-		}
+	// Chaos sweep (fleet.SweepChaos): every canonical fault shape on
+	// backend s0 of a two-backend pool, crossed with placement and
+	// breaker scope. 12 executions per client give an opened breaker
+	// invocations left to shape.
+	err = fleet.SweepChaos(fleet.Spec{Workload: w, Population: cohort(16, 12),
+		Server: core.SessionConfig{Workers: 2, QueueCap: 16}, Servers: 2},
+		func(fault string, pl fleet.Placement, mode fleet.BreakerMode, res *fleet.Result) {
+			rep.ChaosSweep = append(rep.ChaosSweep, chaosRow{
+				Fault: fault, Placement: pl.String(), Breakers: mode.String(),
+				Served: res.Server.Served, Shed: res.Server.Shed,
+				Fallbacks: res.TotalFallbacks(), Failovers: res.TotalFailovers(),
+				Warmups: res.TotalWarmups(), EnergyJ: float64(res.TotalEnergy()),
+			})
+		})
+	if err != nil {
+		return nil, err
 	}
 
 	f := os.Stdout

@@ -64,6 +64,37 @@ func TestCompareReportsNewAndMissingBenches(t *testing.T) {
 	}
 }
 
+// TestCompareReportsGatesSweepRows: the sweep rows are deterministic,
+// so any row that differs from the baseline's fails the gate, while
+// identical rows pass.
+func TestCompareReportsGatesSweepRows(t *testing.T) {
+	mk := func() *report {
+		r := rep(benchEntry{Name: "Fleet/slots=1", NsPerOp: 500})
+		r.PlacementSweep = []sweepRow{{Clients: 16, Servers: 2, Placement: "p2c", Served: 40, Shed: 2, ShedPct: 4.76, EnergyJ: 1.25, MaxDepth: 3}}
+		r.ChaosSweep = []chaosRow{{Fault: "flap", Placement: "hash", Breakers: "global", Served: 30, Fallbacks: 5, EnergyJ: 2.5}}
+		return r
+	}
+	if lines, failed := compareReports(mk(), mk(), 0.15, nil); failed {
+		t.Fatalf("identical sweeps failed the gate: %v", lines)
+	}
+	for name, mutate := range map[string]func(*report){
+		"placement shed":  func(r *report) { r.PlacementSweep[0].Shed++ },
+		"chaos energy":    func(r *report) { r.ChaosSweep[0].EnergyJ += 1e-12 },
+		"chaos row lost":  func(r *report) { r.ChaosSweep = nil },
+		"placement extra": func(r *report) { r.PlacementSweep = append(r.PlacementSweep, sweepRow{Clients: 32}) },
+	} {
+		cur := mk()
+		mutate(cur)
+		lines, failed := compareReports(mk(), cur, 0.15, map[string]bool{"Fleet/slots=1": true})
+		if !failed {
+			t.Errorf("%s: changed sweep passed the gate: %v", name, lines)
+		}
+		if !strings.Contains(strings.Join(lines, "\n"), "SWEEP CHANGED") {
+			t.Errorf("%s: diff lines missing SWEEP CHANGED marker: %v", name, lines)
+		}
+	}
+}
+
 // TestGateFileMode exercises the -compare/-against file-vs-file path
 // end to end, the mode CI uses after producing the temp artifact.
 func TestGateFileMode(t *testing.T) {

@@ -24,8 +24,8 @@
 //	fleetsim -app mf -clients 100000 -execs 1 -sizes 16 \
 //	    -arrival diurnal:0.5 -drift overnight -clients-out clients.jsonl
 //
-// Beyond 256 clients the per-client detail table switches itself off
-// (aggregates still print); -clients-out keeps the per-client data.
+// The summary prints pool and backend aggregates; -clients-out keeps
+// the per-client records.
 //
 // Backend chaos injection (single runs only, not -sweep):
 //
@@ -212,11 +212,6 @@ func (c *fleetConfig) serverConfig(n int) core.SessionConfig {
 	return core.SessionConfig{Workers: c.workers / n, QueueCap: c.queue}
 }
 
-// detailMax is the largest fleet whose per-client table still prints;
-// beyond it a single run streams its records (dropping them unless
-// -clients-out keeps them) and the summary shows aggregates only.
-const detailMax = 256
-
 // popParams is the validated cohort shape every fleet in an
 // invocation shares; population expands it for a given size.
 type popParams struct {
@@ -343,10 +338,11 @@ func run(appName, clientList string, execs int, strategyList, serverList, placem
 		go srv.Serve(ln) //nolint:errcheck
 	}
 
-	// Large fleets and -clients-out both stream: per-client records
-	// retire through the sink instead of accumulating in Result.
+	// Per-client records retire through the sink: -clients-out writes
+	// them, otherwise only the first failure is kept.
 	var catch errCatcher
 	var cw *clientWriter
+	spec.ResultSink = catch.see
 	if pf.clientsOut != "" {
 		out := os.Stdout
 		if pf.clientsOut != "-" {
@@ -362,10 +358,6 @@ func run(appName, clientList string, execs int, strategyList, serverList, placem
 			catch.see(cr)
 			cw.write(cr)
 		}
-	} else if n > detailMax {
-		fmt.Printf("fleet of %d exceeds the %d-client detail threshold; streaming aggregates only (-clients-out keeps per-client records)\n",
-			n, detailMax)
-		spec.ResultSink = catch.see
 	}
 
 	res, err := fleet.Run(spec)
@@ -392,7 +384,7 @@ func run(appName, clientList string, execs int, strategyList, serverList, placem
 			return err
 		}
 	}
-	if err := clientErrors(res, &catch); err != nil {
+	if err := catch.err(res); err != nil {
 		return err
 	}
 	if metrics != "" {
@@ -441,7 +433,7 @@ func runSweep(w fleet.Workload, cfg *fleetConfig, pp popParams, concurrency int)
 				if err != nil {
 					return err
 				}
-				if err := clientErrors(res, &catch); err != nil {
+				if err := catch.err(res); err != nil {
 					return err
 				}
 				maxWait := res.Server.WaitDist.Max
@@ -456,22 +448,13 @@ func runSweep(w fleet.Workload, cfg *fleetConfig, pp popParams, concurrency int)
 	return nil
 }
 
-// sweepBreaker is the breaker prototype chaos-sweep clients run with.
-// Two consecutive attributed losses open a breaker; the cooldown is
-// long relative to the inter-invocation gap (tenths of a virtual
-// second vs. milliseconds), so an open breaker actually shapes the
-// following decisions instead of silently healing between them.
-func sweepBreaker() *core.Breaker {
-	return &core.Breaker{Threshold: 2, Cooldown: 0.05, MaxCooldown: 0.4, ProbeBytes: 16}
-}
-
 // runChaosSweep prints the resilience grid: every canonical fault
 // shape injected on backend s0, crossed with every placement policy
-// and every breaker scope, at one fleet size and server count. The
-// interesting comparison is down the breakers column: per-backend
-// breakers should shed and fall back strictly less than a global
-// breaker under a single-backend fault, because only the faulty
-// backend goes dark.
+// and every breaker scope (fleet.SweepChaos), at one fleet size and
+// server count. The interesting comparison is down the breakers
+// column: per-backend breakers should shed and fall back strictly less
+// than a global breaker under a single-backend fault, because only the
+// faulty backend goes dark.
 func runChaosSweep(w fleet.Workload, cfg *fleetConfig, pp popParams, concurrency int) error {
 	ns := cfg.serverNs[0]
 	if ns < 2 {
@@ -482,44 +465,24 @@ func runChaosSweep(w fleet.Workload, cfg *fleetConfig, pp popParams, concurrency
 		w.Name, n, ns, cfg.workers, cfg.queue)
 	fmt.Printf("%-9s %-8s %-8s | %12s | %6s %6s %6s %6s %6s %7s\n",
 		"fault", "place", "breakers", "energy/cli", "served", "shed", "fellbk", "failov", "warmup", "crashes")
-	for _, shape := range fleet.SweepChaosShapes() {
-		for _, pl := range fleet.Placements {
-			for _, mode := range fleet.BreakerModes {
-				chaos := make([]fleet.BackendChaos, ns)
-				chaos[0] = shape.Chaos
-				var catch errCatcher
-				spec := fleet.Spec{
-					Workload:   w,
-					Population: pp.population(n),
-					Server:     cfg.serverConfig(ns),
-					ResultSink: catch.see,
-				}
-				spec.Servers = ns
-				spec.Placement = pl
-				spec.Concurrency = concurrency
-				spec.Chaos = chaos
-				spec.Breakers = mode
-				spec.Breaker = sweepBreaker()
-				res, err := fleet.Run(spec)
-				if err != nil {
-					return err
-				}
-				if err := clientErrors(res, &catch); err != nil {
-					return err
-				}
-				flaps := 0
-				for _, b := range res.Backends {
-					flaps += b.Flaps
-				}
-				fmt.Printf("%-9s %-8s %-8s | %12v | %6d %6d %6d %6d %6d %7d\n",
-					shape.Name, pl, mode,
-					res.TotalEnergy()/energy.Joules(n),
-					res.Server.Served, res.Server.Shed, res.TotalFallbacks(),
-					res.TotalFailovers(), res.TotalWarmups(), flaps)
-			}
-		}
+	base := fleet.Spec{
+		Workload:    w,
+		Population:  pp.population(n),
+		Server:      cfg.serverConfig(ns),
+		Servers:     ns,
+		Concurrency: concurrency,
 	}
-	return nil
+	return fleet.SweepChaos(base, func(fault string, pl fleet.Placement, mode fleet.BreakerMode, res *fleet.Result) {
+		flaps := 0
+		for _, b := range res.Backends {
+			flaps += b.Flaps
+		}
+		fmt.Printf("%-9s %-8s %-8s | %12v | %6d %6d %6d %6d %6d %7d\n",
+			fault, pl, mode,
+			res.TotalEnergy()/energy.Joules(n),
+			res.Server.Served, res.Server.Shed, res.TotalFallbacks(),
+			res.TotalFailovers(), res.TotalWarmups(), flaps)
+	})
 }
 
 // parseChaos folds the four chaos flags into per-backend fault specs
@@ -654,9 +617,8 @@ func splitEntries(list string) []string {
 	return out
 }
 
-// errCatcher remembers the first failed client of a streamed run,
-// where Result.Clients is nil. see is safe as a ResultSink: the
-// emitter serializes calls.
+// errCatcher remembers the first failed client of a run. see is safe
+// as a ResultSink: the emitter serializes calls.
 type errCatcher struct{ id, msg string }
 
 func (e *errCatcher) see(cr fleet.ClientResult) {
@@ -665,17 +627,13 @@ func (e *errCatcher) see(cr fleet.ClientResult) {
 	}
 }
 
-func clientErrors(res *fleet.Result, catch *errCatcher) error {
-	for _, c := range res.Clients {
-		if c.Err != "" {
-			return fmt.Errorf("client %s: %s", c.ID, c.Err)
-		}
+// err reports the first failed client of the run res came from.
+func (e *errCatcher) err(res *fleet.Result) error {
+	if e.msg == "" {
+		return nil
 	}
-	if catch != nil && catch.msg != "" {
-		return fmt.Errorf("client %s: %s (%d of %d clients failed)",
-			catch.id, catch.msg, res.Totals.Errors, res.Totals.Clients)
-	}
-	return nil
+	return fmt.Errorf("client %s: %s (%d of %d clients failed)",
+		e.id, e.msg, res.Totals.Errors, res.Totals.Clients)
 }
 
 // clientRecord is one line of a -clients-out JSONL stream.

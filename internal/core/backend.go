@@ -2,14 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 
 	"greenvm/internal/energy"
-	"greenvm/internal/isa"
-	"greenvm/internal/jit"
-	"greenvm/internal/radio"
 )
 
 // Multi-backend offloading: the paper prices *whether* to offload to
@@ -91,139 +86,3 @@ type MultiRemote interface {
 	ExecuteOn(ctx context.Context, backend, clientID, class, method string, argBytes []byte,
 		reqTime, estEnd energy.Seconds) (res []byte, servTime energy.Seconds, queued bool, servedBy string, err error)
 }
-
-// DepthAdvertiser is implemented by transports that learn the
-// server's advertised admission-queue depth (carried on wire-v2 hello
-// and busy frames); power-of-two-choices placement samples it.
-type DepthAdvertiser interface {
-	// AdvertisedDepth is the most recently advertised queue depth; ok
-	// is false before any advertisement arrived.
-	AdvertisedDepth() (depth int, ok bool)
-}
-
-// RemotePool is the client-side MultiRemote over real transports: N
-// Remotes (TCP RemoteServers, in-process Sessions) behind one
-// client. Placement is client-driven — the client's pick-cheapest
-// hint decides; a hintless Execute falls back to the lowest
-// advertised queue depth (ties to the first backend added). The fleet
-// simulator uses its own engine-routed MultiRemote instead, so pool
-// placement there stays deterministic in virtual time.
-type RemotePool struct {
-	mu       sync.Mutex
-	ids      []string
-	backends map[string]Remote
-}
-
-// NewRemotePool builds an empty pool; add backends before use.
-func NewRemotePool() *RemotePool {
-	return &RemotePool{backends: map[string]Remote{}}
-}
-
-// Add registers a named backend. IDs must be unique and non-empty;
-// re-adding an ID replaces its Remote.
-func (p *RemotePool) Add(id string, r Remote) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.backends[id]; !ok {
-		p.ids = append(p.ids, id)
-	}
-	p.backends[id] = r
-}
-
-// Backends implements MultiRemote.
-func (p *RemotePool) Backends() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]string(nil), p.ids...)
-}
-
-// pick resolves a hint to a backend, falling back to the lowest
-// advertised queue depth and then to the first backend.
-func (p *RemotePool) pick(hint string) (string, Remote) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if r, ok := p.backends[hint]; ok {
-		return hint, r
-	}
-	if len(p.ids) == 0 {
-		return "", nil
-	}
-	best, bestDepth := p.ids[0], -1
-	for _, id := range p.ids {
-		da, ok := p.backends[id].(DepthAdvertiser)
-		if !ok {
-			continue
-		}
-		if d, ok := da.AdvertisedDepth(); ok && (bestDepth < 0 || d < bestDepth) {
-			best, bestDepth = id, d
-		}
-	}
-	return best, p.backends[best]
-}
-
-// Execute implements Remote: a hintless request goes to the backend
-// with the lowest advertised depth.
-func (p *RemotePool) Execute(ctx context.Context, clientID, class, method string, argBytes []byte,
-	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, bool, error) {
-
-	res, servTime, queued, _, err := p.ExecuteOn(ctx, "", clientID, class, method, argBytes, reqTime, estEnd)
-	return res, servTime, queued, err
-}
-
-// ExecuteOn implements MultiRemote: route to the hinted backend and
-// attribute the outcome to it.
-func (p *RemotePool) ExecuteOn(ctx context.Context, backend, clientID, class, method string, argBytes []byte,
-	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, bool, string, error) {
-
-	id, r := p.pick(backend)
-	if r == nil {
-		return nil, 0, false, "", errors.New("core: remote pool has no backends")
-	}
-	res, servTime, queued, err := r.Execute(ctx, clientID, class, method, argBytes, reqTime, estEnd)
-	if err != nil {
-		var busy *BusyError
-		if errors.As(err, &busy) && busy.Backend == "" {
-			// An in-process backend has no wire advertisement; stamp
-			// the pool's name so the client inflates the right EWMA.
-			err = &BusyError{QueueDepth: busy.QueueDepth, Backend: id}
-		} else if errors.Is(err, radio.ErrConnectionLost) {
-			// Attribute the loss: one dead backend must strike its own
-			// breaker, not blind the client to the whole pool.
-			err = &BackendError{Backend: id, Err: err}
-		}
-		return nil, 0, false, id, err
-	}
-	return res, servTime, queued, id, nil
-}
-
-// ProbeBackend implements BackendProber: a real transport has no
-// virtual-time liveness oracle, so a pool backend is assumed up — the
-// link-level probe round trip that precedes this call already proved
-// the radio path, and the next real exchange re-strikes the breaker if
-// the backend is still failing.
-func (p *RemotePool) ProbeBackend(ctx context.Context, backend string, at energy.Seconds) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.backends[backend]; !ok {
-		return fmt.Errorf("core: remote pool has no backend %q", backend)
-	}
-	return nil
-}
-
-// CompiledBody implements Remote: body downloads are control-plane
-// traffic; every backend serves identical bodies, so the first one
-// answers.
-func (p *RemotePool) CompiledBody(ctx context.Context, qname string, level jit.Level) (*isa.Code, int, error) {
-	p.mu.Lock()
-	var r Remote
-	if len(p.ids) > 0 {
-		r = p.backends[p.ids[0]]
-	}
-	p.mu.Unlock()
-	if r == nil {
-		return nil, 0, errors.New("core: remote pool has no backends")
-	}
-	return r.CompiledBody(ctx, qname, level)
-}
-
-var _ MultiRemote = (*RemotePool)(nil)

@@ -10,9 +10,10 @@ import (
 
 // ClientConfig carries the required identity of a Client: who it is,
 // what it runs, whom it talks to, over what channel, deciding how.
-// Everything optional — fault models, extra sinks, breaker and retry
-// tuning — is applied through functional options, so call sites name
-// what they change instead of threading positional arguments.
+// Fault models, extra sinks and breaker tuning are applied through
+// functional options, so call sites name what they change instead of
+// threading positional arguments; the remaining knobs (retry budget,
+// loss timeout, memo, policy) are exported Client fields.
 type ClientConfig struct {
 	// ID identifies the client to the server (the mobile status table
 	// and the session layer key on it).
@@ -99,12 +100,6 @@ func WithFaultModel(f radio.FaultModel) Option {
 	return func(c *Client) { c.Link.Fault = f }
 }
 
-// WithLossProb sets the legacy i.i.d. per-exchange loss probability
-// (ignored when a fault model is installed).
-func WithLossProb(p float64) Option {
-	return func(c *Client) { c.Link.LossProb = p }
-}
-
 // WithSink attaches an additional event sink (metrics, auditor,
 // tracer, trace).
 func WithSink(s EventSink) Option {
@@ -128,30 +123,4 @@ func WithBreaker(b *Breaker) Option {
 // whole pool.
 func WithBackendBreakers(on bool) Option {
 	return func(c *Client) { c.BackendBreakers = on }
-}
-
-// WithTimeout sets the §3.2 loss-detection listen window.
-func WithTimeout(d energy.Seconds) Option {
-	return func(c *Client) { c.Timeout = d }
-}
-
-// WithRetries shapes the remote retry loop: at most max re-attempts
-// per invocation, starting from the given backoff listen window
-// (doubling per retry).
-func WithRetries(max int, backoff energy.Seconds) Option {
-	return func(c *Client) {
-		c.MaxRetries = max
-		c.RetryBackoff = backoff
-	}
-}
-
-// WithMemo attaches a memo so repeated identical executions replay
-// their recorded deltas; the driver must keep MemoInputKey current.
-func WithMemo(m *Memo) Option {
-	return func(c *Client) { c.Memo = m }
-}
-
-// WithPolicy replaces the strategy-derived policy with a custom one.
-func WithPolicy(p Policy) Option {
-	return func(c *Client) { c.Policy = p }
 }

@@ -655,8 +655,9 @@ func (r *RemoteServer) noteAdvert(m *wire) {
 	r.mu.Unlock()
 }
 
-// AdvertisedDepth implements DepthAdvertiser: the queue depth from
-// the most recent hello response or busy frame.
+// AdvertisedDepth is the queue depth from the most recent hello
+// response or busy frame; ok is false before any advertisement
+// arrived.
 func (r *RemoteServer) AdvertisedDepth() (int, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -906,5 +907,4 @@ func (r *RemoteServer) CompiledBody(ctx context.Context, qname string, level jit
 }
 
 var _ Remote = (*RemoteServer)(nil)
-var _ DepthAdvertiser = (*RemoteServer)(nil)
 var _ Remote = (*Server)(nil)

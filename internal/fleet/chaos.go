@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"strings"
 
+	"greenvm/internal/core"
 	"greenvm/internal/energy"
 )
 
-// Backend chaos injection: PR 6's FailAt models a single hard crash;
-// real pools degrade in messier ways. BackendChaos composes three
+// Backend chaos injection: FailAt models a single hard crash; real
+// pools degrade in messier ways. BackendChaos composes three more
 // fault shapes per backend, all scheduled and judged inside the
 // engine's event heap so fleet runs stay byte-identical under any
 // concurrency:
@@ -53,9 +54,12 @@ type BackendChaos struct {
 	LossSeed  uint64
 }
 
-// active reports whether the spec injects any fault at all.
-func (c BackendChaos) active() bool {
-	return c.FailAt > 0 || c.FlapAt > 0 || c.BrownoutFactor > 1 || c.LossRate > 0
+// validate rejects fault shapes the backend's loss chain cannot take.
+func (c BackendChaos) validate() error {
+	if c.LossRate < 0 || c.LossRate >= 1 {
+		return fmt.Errorf("loss rate %g must be in [0, 1)", c.LossRate)
+	}
+	return nil
 }
 
 // normalized applies the defaulting rules; idx is the backend index
@@ -157,22 +161,61 @@ func ParseBreakerMode(s string) (BreakerMode, error) {
 	}
 }
 
-// NamedChaos pairs a fault shape with a display name for sweeps.
-type NamedChaos struct {
-	Name  string
-	Chaos BackendChaos
+// sweepShapes are the canonical single-backend fault shapes the chaos
+// sweep injects on backend s0: a brown-out (×8 service time with a
+// composed loss burst process — a browned-out backend both slows and
+// drops), a flapping crash/restart cycle, and a pure Gilbert–Elliott
+// loss process. Times are virtual seconds, scaled so every shape
+// overlaps runs from a few milliseconds up.
+var sweepShapes = []struct {
+	name  string
+	chaos BackendChaos
+}{
+	{"brownout", BackendChaos{BrownoutAt: 0.0005, BrownoutFactor: 8, LossRate: 0.5, LossBurst: 8}},
+	{"flap", BackendChaos{FlapAt: 0.001, FlapDown: 0.002, FlapEvery: 0.004}},
+	{"loss", BackendChaos{LossRate: 0.35, LossBurst: 4}},
 }
 
-// SweepChaosShapes enumerates the canonical single-backend fault
-// shapes the chaos sweep injects on backend s0: a brown-out (×8
-// service time with a composed loss burst process — a browned-out
-// backend both slows and drops), a flapping crash/restart cycle, and
-// a pure Gilbert–Elliott loss process. Times are virtual seconds,
-// scaled so every shape overlaps runs from a few milliseconds up.
-func SweepChaosShapes() []NamedChaos {
-	return []NamedChaos{
-		{Name: "brownout", Chaos: BackendChaos{BrownoutAt: 0.0005, BrownoutFactor: 8, LossRate: 0.5, LossBurst: 8}},
-		{Name: "flap", Chaos: BackendChaos{FlapAt: 0.001, FlapDown: 0.002, FlapEvery: 0.004}},
-		{Name: "loss", Chaos: BackendChaos{LossRate: 0.35, LossBurst: 4}},
+// SweepChaos runs the chaos sweep on base: every canonical fault shape
+// on backend s0, crossed with every placement policy and every breaker
+// mode, in that nesting order. Each run overrides base's Chaos,
+// Placement, Breakers and Breaker, and row receives its result. Every
+// client runs with the sweep's breaker prototype: two consecutive
+// attributed losses open a breaker, and the cooldown is long relative
+// to the inter-invocation gap (tenths of a virtual second vs.
+// milliseconds), so an open breaker actually shapes the following
+// decisions instead of silently healing between them. The sweep stops
+// at the first failed client and returns its error.
+func SweepChaos(base Spec, row func(fault string, pl Placement, mode BreakerMode, res *Result)) error {
+	for _, shape := range sweepShapes {
+		for _, pl := range Placements {
+			for _, mode := range BreakerModes {
+				spec := base
+				spec.Chaos = make([]BackendChaos, max(base.Servers, 1))
+				spec.Chaos[0] = shape.chaos
+				spec.Placement = pl
+				spec.Breakers = mode
+				spec.Breaker = &core.Breaker{Threshold: 2, Cooldown: 0.05, MaxCooldown: 0.4, ProbeBytes: 16}
+				var failed *ClientResult
+				spec.ResultSink = func(cr ClientResult) {
+					if cr.Err != "" && failed == nil {
+						failed = &cr
+					}
+					if base.ResultSink != nil {
+						base.ResultSink(cr)
+					}
+				}
+				res, err := Run(spec)
+				if err != nil {
+					return err
+				}
+				if failed != nil {
+					return fmt.Errorf("fleet: %s/%s/%s: client %s: %s (%d of %d clients failed)",
+						shape.name, pl, mode, failed.ID, failed.Err, res.Totals.Errors, res.Totals.Clients)
+				}
+				row(shape.name, pl, mode, res)
+			}
+		}
 	}
+	return nil
 }

@@ -14,17 +14,13 @@ import (
 // so an open breaker actually shapes later decisions.
 func chaosSpec(t *testing.T, placement Placement, mode BreakerMode) Spec {
 	t.Helper()
-	w := offloadWorkload(t)
-	chaos := make([]BackendChaos, 2)
-	chaos[0] = BackendChaos{BrownoutAt: 0.0005, BrownoutFactor: 8, LossRate: 0.5, LossBurst: 8}
-	spec := MixedFleet(w, 16, []core.Strategy{core.StrategyR, core.StrategyAL, core.StrategyAA}, 12,
-		core.SessionConfig{Workers: 2, QueueCap: 16}, 42)
-	spec.Servers = 2
-	spec.Placement = placement
-	spec.Chaos = chaos
-	spec.Breakers = mode
-	spec.Breaker = &core.Breaker{Threshold: 2, Cooldown: 0.05, MaxCooldown: 0.4, ProbeBytes: 16}
-	return spec
+	return Spec{Workload: offloadWorkload(t),
+		Population: NewPopulation(16, WithSeed(42), mixedStrategies, WithExecutions(12)),
+		Server:     core.SessionConfig{Workers: 2, QueueCap: 16},
+		Servers:    2, Placement: placement,
+		Chaos:    []BackendChaos{{BrownoutAt: 0.0005, BrownoutFactor: 8, LossRate: 0.5, LossBurst: 8}},
+		Breakers: mode,
+		Breaker:  &core.Breaker{Threshold: 2, Cooldown: 0.05, MaxCooldown: 0.4, ProbeBytes: 16}}
 }
 
 // TestChaosDeterministicAcrossConcurrency extends the fleet's
@@ -33,29 +29,14 @@ func chaosSpec(t *testing.T, placement Placement, mode BreakerMode) Spec {
 // scheduled and judged inside the event heap, so a chaotic fleet is
 // byte-identical whether clients simulate serially or on eight slots.
 func TestChaosDeterministicAcrossConcurrency(t *testing.T) {
-	w := offloadWorkload(t)
 	build := func(conc int) Spec {
-		chaos := make([]BackendChaos, 3)
-		chaos[0] = BackendChaos{FlapAt: 0.001, FlapDown: 0.002, FlapEvery: 0.004}
-		chaos[1] = BackendChaos{BrownoutAt: 0.0005, BrownoutFactor: 6, LossRate: 0.3, LossBurst: 4}
-		spec := MixedFleet(w, 24, []core.Strategy{core.StrategyR, core.StrategyAL, core.StrategyAA}, 6,
-			core.SessionConfig{Workers: 2, QueueCap: 8}, 42)
-		spec.Servers = 3
-		spec.Placement = PlaceP2C
-		spec.Chaos = chaos
-		spec.Breaker = &core.Breaker{Threshold: 2, Cooldown: 0.05, MaxCooldown: 0.4, ProbeBytes: 16}
-		spec.Concurrency = conc
+		spec := telemetryChaosSpec(t, conc)
+		spec.Telemetry = nil
 		return spec
 	}
-	serial, err := Run(build(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Run(build(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(render(t, serial), render(t, parallel)) {
+	serial, serialRecs := runClients(t, build(1))
+	parallel, parallelRecs := runClients(t, build(8))
+	if !bytes.Equal(render(t, serial, serialRecs), render(t, parallel, parallelRecs)) {
 		t.Error("chaotic fleet diverged between serial and 8-way simulation")
 	}
 	flaps := 0
@@ -74,17 +55,8 @@ func TestChaosDeterministicAcrossConcurrency(t *testing.T) {
 // dark alone, and the surviving backend keeps serving.
 func TestPerBackendBreakersShedLessThanGlobal(t *testing.T) {
 	run := func(mode BreakerMode) (fallbacks, served int) {
-		res, err := Run(chaosSpec(t, PlaceCheapest, mode))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range res.Clients {
-			if c.Err != "" {
-				t.Fatalf("client %s: %s", c.ID, c.Err)
-			}
-			fallbacks += c.Stats.Fallbacks
-		}
-		return fallbacks, res.Server.Served
+		res, _ := runClients(t, chaosSpec(t, PlaceCheapest, mode))
+		return res.TotalFallbacks(), res.Server.Served
 	}
 	backendFB, backendServed := run(BreakersBackend)
 	globalFB, globalServed := run(BreakersGlobal)
@@ -104,24 +76,12 @@ func TestPerBackendBreakersShedLessThanGlobal(t *testing.T) {
 // backend state — some probes landing mid-restart, some after
 // recovery — while the fleet keeps completing on the survivor.
 func TestFlappingBackendProbes(t *testing.T) {
-	w := offloadWorkload(t)
-	chaos := make([]BackendChaos, 2)
-	chaos[0] = BackendChaos{FlapAt: 0.001, FlapDown: 0.004, FlapEvery: 0.008}
-	spec := MixedFleet(w, 16, []core.Strategy{core.StrategyR, core.StrategyAL, core.StrategyAA}, 12,
-		core.SessionConfig{Workers: 2, QueueCap: 16}, 42)
-	spec.Servers = 2
-	spec.Placement = PlaceP2C
-	spec.Chaos = chaos
+	spec := chaosSpec(t, PlaceP2C, BreakersBackend)
+	spec.Chaos = []BackendChaos{{FlapAt: 0.001, FlapDown: 0.004, FlapEvery: 0.008}}
 	spec.Breaker = &core.Breaker{Threshold: 1, Cooldown: 0.002, MaxCooldown: 0.016, ProbeBytes: 16}
-	res, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, recs := runClients(t, spec)
 	probes, downs := 0, 0
-	for _, c := range res.Clients {
-		if c.Err != "" {
-			t.Fatalf("client %s: %s", c.ID, c.Err)
-		}
+	for _, c := range recs {
 		probes += c.Stats.Probes
 		downs += len(c.Stats.LinkDownsBy)
 	}
@@ -147,20 +107,13 @@ func TestShedAttributionPerBackend(t *testing.T) {
 	for _, pl := range Placements {
 		pl := pl
 		t.Run(pl.String(), func(t *testing.T) {
-			spec := MixedFleet(w, 24, []core.Strategy{core.StrategyR, core.StrategyAL, core.StrategyAA}, 6,
-				core.SessionConfig{Workers: 1, QueueCap: 1}, 42)
-			spec.Servers = 2
-			spec.Placement = pl
-			res, err := Run(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res, recs := runClients(t, Spec{Workload: w,
+				Population: NewPopulation(24, WithSeed(42), mixedStrategies, WithExecutions(6)),
+				Server:     core.SessionConfig{Workers: 1, QueueCap: 1},
+				Servers:    2, Placement: pl})
 			byBackend := map[string]int{}
 			total := 0
-			for _, c := range res.Clients {
-				if c.Err != "" {
-					t.Fatalf("client %s: %s", c.ID, c.Err)
-				}
+			for _, c := range recs {
 				for b, n := range c.Stats.ShedsBy {
 					byBackend[b] += n
 				}

@@ -110,17 +110,15 @@ type ClientSpec struct {
 // Spec is one fleet run.
 type Spec struct {
 	Workload Workload
-	// Clients lists the cohort explicitly; Population describes it
-	// lazily (preferred at scale — client specs, arrival times and
-	// channel drift expand on demand from the population seed). Exactly
-	// one of the two must be set.
-	Clients    []ClientSpec
+	// Population describes the cohort: client specs, arrival times and
+	// channel drift expand on demand from the population seed.
 	Population *Population
-	// ResultSink, when set, streams each ClientResult as the cohort
-	// retires (in deterministic arrival order) instead of materializing
-	// Result.Clients — the only way a 100k-client run fits in memory.
-	// The sink runs on simulation goroutines under the emitter's lock:
-	// keep it cheap and do not call back into the fleet.
+	// ResultSink, when set, receives each ClientResult as the cohort
+	// retires, in deterministic arrival order. The run keeps no
+	// per-client records (Result.Totals aggregates them), which is what
+	// lets a 100k-client run fit in memory. The sink runs on simulation
+	// goroutines under the emitter's lock: keep it cheap and do not call
+	// back into the fleet.
 	ResultSink func(ClientResult)
 	// Server shapes each backend server's admission control (zero
 	// values mean the session-layer defaults). With Servers > 1 every
@@ -132,12 +130,6 @@ type Spec struct {
 	// Placement selects how requests map to backends (default
 	// PlaceCheapest — honour the clients' per-backend pricing hints).
 	Placement Placement
-	// FailAt, when non-nil, takes backend i down at virtual time
-	// FailAt[i] (0 = never): its queued requests flush with
-	// connection-lost errors and placement stops considering it.
-	// Shorthand for Chaos[i].FailAt; a Chaos entry for the same
-	// backend takes precedence.
-	FailAt []energy.Seconds
 	// Chaos, when non-nil, injects backend i's fault shapes from
 	// Chaos[i]: hard crashes, flapping crash/restart cycles, brown-out
 	// service-rate degradation, and per-backend Gilbert–Elliott loss
@@ -163,21 +155,6 @@ type Spec struct {
 	// Series field carries it. Like everything else, byte-identical
 	// under any Concurrency.
 	Telemetry *TelemetrySpec
-}
-
-// MixedFleet builds a fleet of n clients cycling through the given
-// strategies and the three channel kinds, with a lossy link on every
-// fifth client — a representative population for capacity sweeps.
-//
-// Deprecated: MixedFleet materializes every ClientSpec up front. Use
-// NewPopulation (whose default options reproduce exactly this cohort)
-// and set Spec.Population instead; MixedFleet remains as a thin shim
-// over it.
-func MixedFleet(w Workload, n int, strategies []core.Strategy, execs int,
-	server core.SessionConfig, seed uint64) Spec {
-
-	pop := NewPopulation(n, WithSeed(seed), WithStrategyMix(strategies...), WithExecutions(execs))
-	return Spec{Workload: w, Clients: pop.ClientSpecs(), Server: server}
 }
 
 // ClientResult is one handset's outcome.
@@ -236,9 +213,8 @@ type BackendResult struct {
 }
 
 // Totals aggregates a cohort's outcomes without per-client records —
-// what a streamed run keeps in memory. Sums accumulate in
-// deterministic arrival order, so they are byte-stable across
-// concurrency in either mode.
+// all a run keeps in memory. Sums accumulate in deterministic arrival
+// order, so they are byte-stable across concurrency.
 type Totals struct {
 	// Clients is the cohort size; Errors how many clients failed.
 	Clients, Errors int
@@ -268,12 +244,10 @@ func (t *Totals) add(cr *ClientResult) {
 type Result struct {
 	Workload  string
 	Placement Placement
-	// Clients holds per-client outcomes in client-index order. It is
-	// nil when the spec streamed results through ResultSink; Totals
-	// still aggregates the whole cohort then.
-	Clients []ClientResult
-	Totals  Totals
-	Server  ServerResult
+	// Totals aggregates the cohort; per-client outcomes go to the
+	// spec's ResultSink.
+	Totals Totals
+	Server ServerResult
 	// Backends holds per-backend outcomes, in placement order (one
 	// entry even for a single-server run).
 	Backends []BackendResult
@@ -288,10 +262,11 @@ type Result struct {
 // as they finish, so peak memory tracks the live cohort, not the
 // whole fleet.
 func Run(spec Spec) (*Result, error) {
-	clientAt, n, err := spec.cohort()
-	if err != nil {
-		return nil, err
+	pop := spec.Population
+	if pop == nil || pop.N() <= 0 {
+		return nil, fmt.Errorf("fleet: no clients in spec")
 	}
+	n := pop.N()
 	w := spec.Workload
 	if w.Prog == nil || w.Target == nil || w.Prof == nil {
 		return nil, fmt.Errorf("fleet: incomplete workload %q", w.Name)
@@ -300,20 +275,20 @@ func Run(spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	chaos, err := mergeChaos(spec)
-	if err != nil {
+	if servers := max(spec.Servers, 1); len(spec.Chaos) > servers {
+		return nil, fmt.Errorf("fleet: chaos specs for %d backends but pool has %d", len(spec.Chaos), servers)
+	}
+	for i, c := range spec.Chaos {
+		if err := c.validate(); err != nil {
+			return nil, fmt.Errorf("fleet: backend s%d: %w", i, err)
+		}
+	}
+	if err := pop.validate(); err != nil {
 		return nil, err
 	}
-	var arrival ArrivalSpec
-	drift := DriftSpec{}.withDefaults()
-	if spec.Population != nil {
-		arrival = spec.Population.arrival
-		if err := arrival.validate(); err != nil {
-			return nil, err
-		}
-		drift = spec.Population.drift.withDefaults()
-	}
-	pool := NewServerPool(w.Prog, spec.Servers, spec.Server, chaos)
+	arrival := pop.arrival
+	drift := pop.drift.withDefaults()
+	pool := NewServerPool(w.Prog, spec.Servers, spec.Server, spec.Chaos)
 	pool.alloc(n)
 	var rec *tsRec
 	var fold *clientFold
@@ -332,7 +307,7 @@ func Run(spec Spec) (*Result, error) {
 	starts := make([]energy.Seconds, n)
 	if arrival.Kind != ArriveNone {
 		for i := range starts {
-			starts[i] = arrival.startTime(clientAt(i).Seed)
+			starts[i] = pop.StartAt(i)
 		}
 	}
 	order := arrivalOrder(starts)
@@ -363,7 +338,7 @@ func Run(spec Spec) (*Result, error) {
 	wg.Add(n)
 	eng.launch = func(idx int) {
 		defer wg.Done()
-		cs := clientAt(idx)
+		cs := pop.ClientAt(idx)
 		fs := &eng.sessions[idx]
 		// The compute slot is held while simulating and released while
 		// blocked in the engine (muxRemote); the session must retire
@@ -438,9 +413,6 @@ func Run(spec Spec) (*Result, error) {
 		Placement: spec.Placement,
 		Totals:    em.totals,
 	}
-	if spec.ResultSink == nil {
-		res.Clients = em.records
-	}
 	res.Server = ServerResult{
 		Workers:       pool.backends[0].workers,
 		QueueCap:      pool.backends[0].queueCap,
@@ -477,22 +449,6 @@ func Run(spec Spec) (*Result, error) {
 	return res, nil
 }
 
-// cohort resolves the spec's client source: an explicit slice or a
-// lazy population, never both.
-func (spec *Spec) cohort() (func(int) ClientSpec, int, error) {
-	switch {
-	case len(spec.Clients) > 0 && spec.Population != nil:
-		return nil, 0, fmt.Errorf("fleet: spec sets both Clients and Population")
-	case len(spec.Clients) > 0:
-		cl := spec.Clients
-		return func(i int) ClientSpec { return cl[i] }, len(cl), nil
-	case spec.Population != nil && spec.Population.N() > 0:
-		return spec.Population.ClientAt, spec.Population.N(), nil
-	default:
-		return nil, 0, fmt.Errorf("fleet: no clients in spec")
-	}
-}
-
 // arrivalOrder returns the client indices sorted by (arrival time,
 // index) — the order clients launch and their results retire in.
 func arrivalOrder(starts []energy.Seconds) []int32 {
@@ -514,8 +470,8 @@ func arrivalOrder(starts []energy.Seconds) []int32 {
 // whatever order the goroutines actually finish in: records park in
 // the out-of-order buffer until every earlier client has retired,
 // then fold (telemetry), accumulate (totals) and stream (sink) in
-// order. With a sink attached, emitted records are dropped
-// immediately — nothing accumulates across a 100k run.
+// order. Emitted records are dropped immediately — nothing
+// accumulates across a 100k run.
 type emitter struct {
 	mu      sync.Mutex
 	order   []int32
@@ -549,33 +505,9 @@ func (em *emitter) emit(idx int, cr ClientResult, acc *clientAcc) {
 		em.totals.add(&em.records[i])
 		if em.sink != nil {
 			em.sink(em.records[i])
-			em.records[i] = ClientResult{}
 		}
+		em.records[i] = ClientResult{}
 	}
-}
-
-// mergeChaos folds the legacy FailAt shorthand into the per-backend
-// chaos specs and validates them against the pool size.
-func mergeChaos(spec Spec) ([]BackendChaos, error) {
-	servers := spec.Servers
-	if servers < 1 {
-		servers = 1
-	}
-	if len(spec.FailAt) > servers || len(spec.Chaos) > servers {
-		return nil, fmt.Errorf("fleet: chaos specs for %d backends but pool has %d",
-			max(len(spec.FailAt), len(spec.Chaos)), servers)
-	}
-	if len(spec.FailAt) == 0 {
-		return spec.Chaos, nil
-	}
-	chaos := make([]BackendChaos, servers)
-	copy(chaos, spec.Chaos)
-	for i, t := range spec.FailAt {
-		if t > 0 && !chaos[i].active() {
-			chaos[i].FailAt = t
-		}
-	}
-	return chaos, nil
 }
 
 // runClient simulates one handset to completion. The shared fleet
@@ -663,39 +595,24 @@ func inputSeed(name string, size int) uint64 {
 	return h*2654435761 + uint64(size)
 }
 
-// Registry renders the run through the observability seam: per-client
-// energy/time gauges, admission counters, and the server's queue
-// wait/depth quantiles (from the engine's streaming P² sketches).
-// Built post-run in client order, so its snapshot is deterministic.
+// Registry renders the run through the observability seam: cohort
+// totals, pool admission counters, the server's queue wait/depth
+// quantiles (from the engine's streaming P² sketches) and per-backend
+// outcomes. Per-client values stream through Spec.ResultSink instead.
+// Built post-run, so its snapshot is deterministic.
 func (r *Result) Registry() *obs.Registry {
 	reg := obs.NewRegistry()
-	eGauge := reg.Gauge("fleet_client_energy_joules", "total energy per simulated handset")
-	tGauge := reg.Gauge("fleet_client_time_seconds", "virtual completion time per handset")
-	served := reg.Counter("fleet_served_total", "requests that obtained a server worker")
-	sheds := reg.Counter("fleet_sheds_total", "requests shed by server admission control")
-	hits := reg.Counter("fleet_session_cache_hits_total", "requests answered from a session's serialization cache")
-	for _, c := range r.Clients {
-		labels := []string{"client", c.ID, "strategy", c.Strategy.String()}
-		eGauge.Set(float64(c.Energy), labels...)
-		tGauge.Set(float64(c.Time), labels...)
-		if c.Served > 0 {
-			served.Add(float64(c.Served), labels...)
-		}
-		if c.Shed > 0 {
-			sheds.Add(float64(c.Shed), labels...)
-		}
-		if c.Session.CacheHits > 0 {
-			hits.Add(float64(c.Session.CacheHits), labels...)
-		}
-	}
+	reg.Gauge("fleet_clients", "simulated handsets in the cohort").Set(float64(r.Totals.Clients))
+	reg.Gauge("fleet_client_errors", "handsets whose run failed").Set(float64(r.Totals.Errors))
+	reg.Gauge("fleet_energy_joules", "total energy over the cohort's handsets").Set(float64(r.Totals.Energy))
+	reg.Gauge("fleet_makespan_seconds", "latest handset virtual completion time").Set(float64(r.Totals.MaxTime))
+	reg.Counter("fleet_served_total", "requests that obtained a server worker").Add(float64(r.Server.Served))
+	reg.Counter("fleet_sheds_total", "requests shed by server admission control").Add(float64(r.Server.Shed))
+	reg.Counter("fleet_session_cache_hits_total", "requests answered from a session's serialization cache").Add(float64(r.Server.CacheHits))
+	reg.Counter("fleet_fallbacks_total", "connection-loss local fallbacks across the cohort").Add(float64(r.Totals.Fallbacks))
+	reg.Counter("fleet_failovers_total", "invocations re-placed on a surviving backend after an attributed loss").Add(float64(r.Totals.Failovers))
 	exportDist(reg, "fleet_queue_wait_seconds", "virtual queue wait quantiles of served requests", r.Server.WaitDist)
 	exportDist(reg, "fleet_queue_depth", "queue depth quantiles seen by requests that waited", r.Server.DepthDist)
-	failovers := reg.Counter("fleet_failovers_total", "invocations re-placed on a surviving backend after an attributed loss")
-	for _, c := range r.Clients {
-		if c.Stats.Failovers > 0 {
-			failovers.Add(float64(c.Stats.Failovers), "client", c.ID, "strategy", c.Strategy.String())
-		}
-	}
 	bServed := reg.Counter("fleet_backend_served_total", "requests served per backend")
 	bSheds := reg.Counter("fleet_backend_sheds_total", "requests shed per backend")
 	bDepth := reg.Gauge("fleet_backend_queue_depth_max", "queue high-water mark per backend")
@@ -773,33 +690,16 @@ func (r *Result) ShedRate() float64 {
 	return float64(r.Server.Shed) / float64(total)
 }
 
-// WriteSummary renders the per-client table (when per-client records
-// were retained), the pool aggregate and — for multi-server runs —
-// the per-backend breakdown. Streamed runs (ResultSink set) print the
-// aggregates only.
+// WriteSummary renders the pool aggregate and — for multi-server runs
+// — the per-backend breakdown. Per-client values stream through
+// Spec.ResultSink (fleetsim's -clients-out writes them as JSONL).
 func (r *Result) WriteSummary(w io.Writer) {
 	fmt.Fprintf(w, "fleet of %d clients on %s — server workers=%d queue=%d",
 		r.Totals.Clients, r.Workload, r.Server.Workers, r.Server.QueueCap)
 	if len(r.Backends) > 1 {
 		fmt.Fprintf(w, " servers=%d placement=%s", len(r.Backends), r.Placement)
 	}
-	fmt.Fprintf(w, "\n\n")
-	if r.Clients == nil {
-		fmt.Fprintf(w, "(per-client records streamed; aggregates only)\n")
-	} else {
-		fmt.Fprintf(w, "%-8s %-5s %12s %10s | %5s %5s %5s %5s | %10s  %s\n",
-			"client", "strat", "energy", "time", "reqs", "shed", "hits", "fall", "avg wait", "modes [I L1 L2 L3 R]")
-		for _, c := range r.Clients {
-			fmt.Fprintf(w, "%-8s %-5v %12v %9.2fs | %5d %5d %5d %5d | %9.2fms  %v",
-				c.ID, c.Strategy, c.Energy, float64(c.Time),
-				c.Served, c.Shed, c.Session.CacheHits, c.Stats.Fallbacks,
-				float64(c.AvgWait)*1e3, c.Stats.ModeCounts)
-			if c.Err != "" {
-				fmt.Fprintf(w, "  ERROR: %s", c.Err)
-			}
-			fmt.Fprintln(w)
-		}
-	}
+	fmt.Fprintln(w)
 	fmt.Fprintf(w, "\ntotal energy %v; makespan %.4fs; server served %d, shed %d (rate %.1f%%), max queue depth %d, cache hits %d",
 		r.TotalEnergy(), float64(r.Totals.MaxTime), r.Server.Served, r.Server.Shed, 100*r.ShedRate(),
 		r.Server.MaxQueueDepth, r.Server.CacheHits)

@@ -3,12 +3,12 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
 	"greenvm/internal/apps"
 	"greenvm/internal/core"
-	"greenvm/internal/energy"
 	"greenvm/internal/experiments"
 	"greenvm/internal/radio"
 )
@@ -50,14 +50,82 @@ func offloadWorkload(t *testing.T) Workload {
 	return WorkloadOf(envFE)
 }
 
+// runClients runs spec, collecting the per-client records from the
+// result sink in emission order, and fails the test on a spec error or
+// a failed client. It also checks the run's conservation laws against
+// the records: every client retires exactly once, Totals equal the
+// records' sums in emission order (energy bit for bit), the clients',
+// the pool's and the backends' served/shed counts agree, and no
+// backend queue outgrew its cap.
+func runClients(t *testing.T, spec Spec) (*Result, []ClientResult) {
+	t.Helper()
+	var recs []ClientResult
+	spec.ResultSink = func(cr ClientResult) { recs = append(recs, cr) }
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range recs {
+		if c.Err != "" {
+			t.Fatalf("client %s failed: %s", c.ID, c.Err)
+		}
+	}
+
+	pop := spec.Population
+	if len(recs) != pop.N() {
+		t.Fatalf("%d records retired for %d clients", len(recs), pop.N())
+	}
+	pending := make(map[string]bool, pop.N())
+	for i := 0; i < pop.N(); i++ {
+		pending[pop.ClientAt(i).ID] = true
+	}
+	var sum Totals
+	served, shed := 0, 0
+	for _, c := range recs {
+		if !pending[c.ID] {
+			t.Fatalf("client %s retired twice or is not in the cohort", c.ID)
+		}
+		delete(pending, c.ID)
+		sum.Clients++
+		sum.Energy += c.Energy
+		sum.MaxTime = max(sum.MaxTime, c.Time)
+		sum.Failovers += c.Stats.Failovers
+		sum.Fallbacks += c.Stats.Fallbacks
+		served += c.Served
+		shed += c.Shed
+	}
+	if math.Float64bits(float64(res.Totals.Energy)) != math.Float64bits(float64(sum.Energy)) || res.Totals != sum {
+		t.Errorf("totals %+v differ from the records' sums %+v", res.Totals, sum)
+	}
+	bServed, bShed, bDepth := 0, 0, 0
+	for _, b := range res.Backends {
+		bServed += b.Served
+		bShed += b.Shed
+		bDepth = max(bDepth, b.MaxQueueDepth)
+		if b.MaxQueueDepth > res.Server.QueueCap {
+			t.Errorf("backend %s queued %d requests past its cap of %d", b.ID, b.MaxQueueDepth, res.Server.QueueCap)
+		}
+	}
+	if served != res.Server.Served || bServed != res.Server.Served {
+		t.Errorf("served: clients %d, pool %d, backends %d", served, res.Server.Served, bServed)
+	}
+	if shed != res.Server.Shed || bShed != res.Server.Shed {
+		t.Errorf("shed: clients %d, pool %d, backends %d", shed, res.Server.Shed, bShed)
+	}
+	if bDepth != res.Server.MaxQueueDepth {
+		t.Errorf("pool max queue depth %d, deepest backend %d", res.Server.MaxQueueDepth, bDepth)
+	}
+	return res, recs
+}
+
 // render serializes everything a fleet run produces — the summary
-// table, the per-client structs and the observability snapshot — so
+// table, the per-client records and the observability snapshot — so
 // two runs can be compared byte for byte.
-func render(t *testing.T, r *Result) []byte {
+func render(t *testing.T, r *Result, recs []ClientResult) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	r.WriteSummary(&buf)
-	for _, c := range r.Clients {
+	for _, c := range recs {
 		fmt.Fprintf(&buf, "%s|%v|%v|%v|%+v|%+v|%d|%d|%v|%v|%s\n",
 			c.ID, c.Strategy, c.Energy, c.Time, c.Stats, c.Session,
 			c.Served, c.Shed, c.AvgWait, c.MaxWait, c.Err)
@@ -73,37 +141,24 @@ func render(t *testing.T, r *Result) []byte {
 	return buf.Bytes()
 }
 
+// mixedStrategies is the strategy rotation most fleet tests cycle.
+var mixedStrategies = WithStrategyMix(core.StrategyR, core.StrategyAL, core.StrategyAA)
+
 // TestFleetDeterministicAcrossConcurrency is the tentpole's core
 // claim: a 32-client mixed-strategy fleet produces byte-identical
 // results whether the clients simulate serially or on eight slots.
 func TestFleetDeterministicAcrossConcurrency(t *testing.T) {
 	w := testWorkload(t)
 	build := func(conc int) Spec {
-		spec := MixedFleet(w, 32,
-			[]core.Strategy{core.StrategyR, core.StrategyI, core.StrategyL2, core.StrategyAL, core.StrategyAA},
-			3, core.SessionConfig{Workers: 2, QueueCap: 4}, 77)
-		for i := range spec.Clients {
-			spec.Clients[i].Sizes = []int{16, 32}
-		}
-		spec.Concurrency = conc
-		return spec
+		return Spec{Workload: w, Population: NewPopulation(32, WithSeed(77),
+			WithStrategyMix(core.StrategyR, core.StrategyI, core.StrategyL2, core.StrategyAL, core.StrategyAA),
+			WithExecutions(3), WithSizes(16, 32)),
+			Server: core.SessionConfig{Workers: 2, QueueCap: 4}, Concurrency: conc}
 	}
 
-	serial, err := Run(build(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range serial.Clients {
-		if c.Err != "" {
-			t.Fatalf("client %s failed: %s", c.ID, c.Err)
-		}
-	}
-	parallel, err := Run(build(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sb, pb := render(t, serial), render(t, parallel)
+	serial, serialRecs := runClients(t, build(1))
+	parallel, parallelRecs := runClients(t, build(8))
+	sb, pb := render(t, serial, serialRecs), render(t, parallel, parallelRecs)
 	if !bytes.Equal(sb, pb) {
 		t.Fatalf("serial and parallel fleets diverge:\n--- serial ---\n%s\n--- parallel ---\n%s", sb, pb)
 	}
@@ -130,33 +185,15 @@ func TestFleetMultiServerDeterministic(t *testing.T) {
 			servers, pl := servers, pl
 			t.Run(fmt.Sprintf("%dservers_%s", servers, pl), func(t *testing.T) {
 				build := func(conc int) Spec {
-					spec := MixedFleet(w, 18,
-						[]core.Strategy{core.StrategyR, core.StrategyAL, core.StrategyAA},
-						3, core.SessionConfig{Workers: 1, QueueCap: 2}, 123)
-					for i := range spec.Clients {
-						spec.Clients[i].Sizes = []int{16, 32}
-					}
-					spec.Servers = servers
-					spec.Placement = pl
-					spec.Concurrency = conc
-					return spec
+					return Spec{Workload: w, Population: NewPopulation(18, WithSeed(123),
+						mixedStrategies, WithExecutions(3), WithSizes(16, 32)),
+						Server:  core.SessionConfig{Workers: 1, QueueCap: 2},
+						Servers: servers, Placement: pl, Concurrency: conc}
 				}
 
-				serial, err := Run(build(1))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, c := range serial.Clients {
-					if c.Err != "" {
-						t.Fatalf("client %s failed: %s", c.ID, c.Err)
-					}
-				}
-				parallel, err := Run(build(8))
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				sb, pb := render(t, serial), render(t, parallel)
+				serial, serialRecs := runClients(t, build(1))
+				parallel, parallelRecs := runClients(t, build(8))
+				sb, pb := render(t, serial, serialRecs), render(t, parallel, parallelRecs)
 				if !bytes.Equal(sb, pb) {
 					t.Fatalf("serial and parallel fleets diverge:\n--- serial ---\n%s\n--- parallel ---\n%s", sb, pb)
 				}
@@ -182,43 +219,25 @@ func TestFleetMultiServerDeterministic(t *testing.T) {
 // TestFleetBackendFailover schedules one backend of a two-server pool
 // to fail mid-run: queued requests flush as connection losses, the
 // clients' loss machinery re-places on the survivor, and the whole
-// thing stays byte-deterministic across concurrency.
+// thing stays byte-deterministic across concurrency. Every client
+// survives the failure (runClients fails on a client error): losses
+// fall back or re-place, they never surface as client errors.
 func TestFleetBackendFailover(t *testing.T) {
 	w := testWorkload(t)
 	build := func(conc int) Spec {
-		spec := MixedFleet(w, 8, []core.Strategy{core.StrategyR}, 3,
-			core.SessionConfig{Workers: 2, QueueCap: 4}, 21)
-		for i := range spec.Clients {
-			spec.Clients[i].Channel = ChannelFixed
-			spec.Clients[i].Outage = 0
-			spec.Clients[i].Sizes = []int{32}
-		}
-		spec.Servers = 2
-		spec.Placement = PlaceHash
-		spec.FailAt = []energy.Seconds{0.002, 0} // s0 dies two virtual ms in
-		spec.Concurrency = conc
-		return spec
+		return Spec{Workload: w, Population: NewPopulation(8, WithSeed(21), WithExecutions(3),
+			WithChannelMix(ChannelFixed), WithOutage(0, 0, 0), WithSizes(32)),
+			Server:  core.SessionConfig{Workers: 2, QueueCap: 4},
+			Servers: 2, Placement: PlaceHash,
+			Chaos:       []BackendChaos{{FailAt: 0.002}}, // s0 dies two virtual ms in
+			Concurrency: conc}
 	}
 
-	serial, err := Run(build(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Run(build(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, pb := render(t, serial), render(t, parallel)
+	serial, serialRecs := runClients(t, build(1))
+	parallel, parallelRecs := runClients(t, build(8))
+	sb, pb := render(t, serial, serialRecs), render(t, parallel, parallelRecs)
 	if !bytes.Equal(sb, pb) {
 		t.Fatalf("failover fleets diverge:\n--- serial ---\n%s\n--- parallel ---\n%s", sb, pb)
-	}
-
-	// Every client survives the failure: losses fall back or re-place,
-	// they never surface as client errors.
-	for _, c := range serial.Clients {
-		if c.Err != "" {
-			t.Fatalf("client %s failed: %s", c.ID, c.Err)
-		}
 	}
 	if !serial.Backends[0].Down {
 		t.Fatal("backend s0 never went down")
@@ -237,33 +256,20 @@ func TestFleetBackendFailover(t *testing.T) {
 // would have gone remote observably shifts to local execution.
 func TestFleetOverloadShedsAndShiftsLocal(t *testing.T) {
 	w := offloadWorkload(t)
-	spec := MixedFleet(w, 16, []core.Strategy{core.StrategyAA}, 4,
-		core.SessionConfig{Workers: 1, QueueCap: -1}, 5)
-	for i := range spec.Clients {
-		// A narrow channel keeps the remote advantage small enough
-		// that a few priced-in busy errors flip the estimate; unloaded,
-		// AA still offloads FE here (the control run checks that).
-		spec.Clients[i].Channel = ChannelFixed
-		spec.Clients[i].Class = radio.Class1
-		spec.Clients[i].Outage = 0
-		spec.Clients[i].Sizes = []int{56000}
-	}
+	pop := NewPopulation(16, WithSeed(5), WithStrategyMix(core.StrategyAA), WithExecutions(4),
+		WithChannelMix(ChannelFixed), WithOutage(0, 0, 0), WithSizes(56000))
+	// A narrow channel keeps the remote advantage small enough that a
+	// few priced-in busy errors flip the estimate; unloaded, AA still
+	// offloads FE here (the control run checks that).
+	pop.class = radio.Class1
+	spec := Spec{Workload: w, Population: pop, Server: core.SessionConfig{Workers: 1, QueueCap: -1}}
 
-	res, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range res.Clients {
-		if c.Err != "" {
-			t.Fatalf("client %s failed: %s", c.ID, c.Err)
-		}
-	}
-
+	res, recs := runClients(t, spec)
 	if res.Server.Shed == 0 {
 		t.Fatal("an undersized server with no queue never shed")
 	}
 	var local, shedClients int
-	for _, c := range res.Clients {
+	for _, c := range recs {
 		local += localModes(c.Stats)
 		if c.Shed > 0 {
 			shedClients++
@@ -285,17 +291,11 @@ func TestFleetOverloadShedsAndShiftsLocal(t *testing.T) {
 	// is the overload's doing, not the channel's.
 	roomy := spec
 	roomy.Server = core.SessionConfig{Workers: 16, QueueCap: 32}
-	ctrl, err := Run(roomy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctrl, ctrlRecs := runClients(t, roomy)
 	if ctrl.Server.Shed != 0 {
 		t.Fatalf("control fleet shed %d requests on a 16-worker server", ctrl.Server.Shed)
 	}
-	for _, c := range ctrl.Clients {
-		if c.Err != "" {
-			t.Fatalf("control client %s failed: %s", c.ID, c.Err)
-		}
+	for _, c := range ctrlRecs {
 		if localModes(c.Stats) != 0 {
 			t.Fatalf("control client %s went local without overload: %v", c.ID, c.Stats.ModeCounts)
 		}
@@ -312,22 +312,9 @@ func localModes(s core.Stats) int {
 // caches answer without re-executing.
 func TestFleetSessionCacheServesRepeats(t *testing.T) {
 	w := testWorkload(t)
-	spec := MixedFleet(w, 4, []core.Strategy{core.StrategyR}, 5,
-		core.SessionConfig{Workers: 4, QueueCap: 16}, 9)
-	for i := range spec.Clients {
-		spec.Clients[i].Channel = ChannelFixed
-		spec.Clients[i].Outage = 0
-		spec.Clients[i].Sizes = []int{32}
-	}
-	res, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range res.Clients {
-		if c.Err != "" {
-			t.Fatalf("client %s failed: %s", c.ID, c.Err)
-		}
-	}
+	res, _ := runClients(t, Spec{Workload: w, Population: NewPopulation(4, WithSeed(9), WithExecutions(5),
+		WithChannelMix(ChannelFixed), WithOutage(0, 0, 0), WithSizes(32)),
+		Server: core.SessionConfig{Workers: 4, QueueCap: 16}})
 	if res.Server.CacheHits == 0 {
 		t.Error("repeated identical offloads produced no session cache hits")
 	}

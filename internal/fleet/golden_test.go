@@ -16,7 +16,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden fleet o
 // goldenSpec is a small chaotic fleet that offloads a lot: mf clients
 // at three input sizes, two executions each, over three p2c backends
 // with s0 flapping on a lossy link and s1 browned out, on one slot.
-func goldenSpec(t *testing.T, sink func(ClientResult)) Spec {
+func goldenSpec(t *testing.T) Spec {
 	t.Helper()
 	spec := Spec{Workload: testWorkload(t), Population: NewPopulation(64,
 		WithSeed(12),
@@ -33,7 +33,6 @@ func goldenSpec(t *testing.T, sink func(ClientResult)) Spec {
 	}
 	spec.Concurrency = 1
 	spec.Telemetry = &TelemetrySpec{Tick: 0.001}
-	spec.ResultSink = sink
 	return spec
 }
 
@@ -44,18 +43,16 @@ func goldenSpec(t *testing.T, sink func(ClientResult)) Spec {
 //
 //	go test ./internal/fleet -run TestFleetGolden -update-golden
 func TestFleetGolden(t *testing.T) {
+	res, recs := runClients(t, goldenSpec(t))
+	if res.Server.Served == 0 {
+		t.Fatal("golden fleet served no requests")
+	}
 	var clients bytes.Buffer
 	enc := json.NewEncoder(&clients)
-	res, err := Run(goldenSpec(t, func(cr ClientResult) {
+	for _, cr := range recs {
 		if err := enc.Encode(cr); err != nil {
-			t.Error(err)
+			t.Fatal(err)
 		}
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Server.Served == 0 || res.Totals.Errors > 0 {
-		t.Fatalf("golden fleet served %d requests with %d failed clients", res.Server.Served, res.Totals.Errors)
 	}
 	series := seriesJSONL(t, res)
 	for _, f := range []struct {

@@ -8,6 +8,7 @@ import (
 
 	"greenvm/internal/core"
 	"greenvm/internal/energy"
+	"greenvm/internal/radio"
 	"greenvm/internal/rng"
 )
 
@@ -21,9 +22,11 @@ import (
 type Population struct {
 	n          int
 	seed       uint64
-	idFormat   string
 	strategies []core.Strategy
 	channels   []ChannelKind
+	// class pins ChannelFixed's class and seeds the Markov channels'
+	// starting class (zero keeps the defaults; see ClientSpec.Class).
+	class      radio.Class
 	outageFrac float64
 	burstLen   float64
 	outageMod  int
@@ -42,12 +45,6 @@ func WithSeed(seed uint64) PopOption {
 	return func(p *Population) { p.seed = seed }
 }
 
-// WithIDFormat sets the fmt verb used to derive client IDs from the
-// index (default "pda-%02d").
-func WithIDFormat(format string) PopOption {
-	return func(p *Population) { p.idFormat = format }
-}
-
 // WithStrategyMix cycles the given strategies across the cohort
 // (client i gets strategies[i mod len]).
 func WithStrategyMix(strategies ...core.Strategy) PopOption {
@@ -59,7 +56,7 @@ func WithStrategyMix(strategies ...core.Strategy) PopOption {
 }
 
 // WithChannelMix cycles the given channel kinds across the cohort
-// (default fixed, uniform, markov — the MixedFleet rotation).
+// (default fixed, uniform, markov).
 func WithChannelMix(kinds ...ChannelKind) PopOption {
 	return func(p *Population) {
 		if len(kinds) > 0 {
@@ -69,9 +66,9 @@ func WithChannelMix(kinds ...ChannelKind) PopOption {
 }
 
 // WithOutage attaches a Gilbert–Elliott lossy link (stationary loss
-// fraction frac, mean burst length burst) to every every-th client;
-// every <= 0 disables outages. The default is the MixedFleet shape:
-// every fifth client at 0.15/3.
+// fraction frac in [0, 1), mean burst length burst) to every every-th
+// client; every <= 0 disables outages. The default is every fifth
+// client at 0.15/3.
 func WithOutage(frac, burst float64, every int) PopOption {
 	return func(p *Population) {
 		p.outageFrac, p.burstLen, p.outageMod = frac, burst, every
@@ -104,15 +101,14 @@ func WithChannelDrift(d DriftSpec) PopOption {
 }
 
 // NewPopulation builds a cohort description of n handsets. With no
-// options the expansion reproduces MixedFleet's historical cohort:
-// IDs "pda-%02d", strategies cycled (default all-R), channels cycled
+// options the expansion is the historical mixed cohort: IDs "pda-%02d",
+// strategies cycled (default all-R), channels cycled
 // fixed/uniform/markov, every fifth client on a 0.15/3 lossy link,
 // one execution each, seed 1.
 func NewPopulation(n int, opts ...PopOption) *Population {
 	p := &Population{
 		n:          n,
 		seed:       1,
-		idFormat:   "pda-%02d",
 		strategies: []core.Strategy{core.StrategyR},
 		channels:   []ChannelKind{ChannelFixed, ChannelUniform, ChannelMarkov},
 		outageFrac: 0.15,
@@ -141,9 +137,10 @@ func (p *Population) Drift() DriftSpec { return p.drift }
 // population's options, its seed and i.
 func (p *Population) ClientAt(i int) ClientSpec {
 	cs := ClientSpec{
-		ID:         fmt.Sprintf(p.idFormat, i),
+		ID:         fmt.Sprintf("pda-%02d", i),
 		Strategy:   p.strategies[i%len(p.strategies)],
 		Channel:    p.channels[i%len(p.channels)],
+		Class:      p.class,
 		Executions: p.execs,
 		Sizes:      p.sizes,
 		Seed:       mix(p.seed, uint64(i)),
@@ -154,15 +151,20 @@ func (p *Population) ClientAt(i int) ClientSpec {
 	return cs
 }
 
-// ClientSpecs materializes the whole cohort — the pre-Population
-// interface. City-scale callers should keep the Population and let
-// Run expand clients lazily instead.
-func (p *Population) ClientSpecs() []ClientSpec {
-	specs := make([]ClientSpec, p.n)
-	for i := range specs {
-		specs[i] = p.ClientAt(i)
+// validate rejects cohort parameters the client channel and fault
+// models cannot take, so a bad spec fails Run instead of panicking in a
+// client goroutine.
+func (p *Population) validate() error {
+	if err := p.arrival.validate(); err != nil {
+		return err
 	}
-	return specs
+	if d := p.drift.withDefaults(); d.Depth < 0 || d.Depth > 0.5 {
+		return fmt.Errorf("fleet: channel drift depth %g must be in [0, 0.5]", d.Depth)
+	}
+	if p.outageMod > 0 && (p.outageFrac < 0 || p.outageFrac >= 1) {
+		return fmt.Errorf("fleet: outage fraction %g must be in [0, 1)", p.outageFrac)
+	}
+	return nil
 }
 
 // StartAt returns client i's arrival time under the population's

@@ -11,19 +11,19 @@ import (
 	"greenvm/internal/energy"
 )
 
-// TestMixedFleetByteCompat pins the deprecated MixedFleet shim to the
-// historical cohort shape: ID format, strategy and channel rotation,
-// outage cadence and per-client seeds must come out exactly as the
-// pre-Population constructor built them, or old callers' runs change
-// under them.
-func TestMixedFleetByteCompat(t *testing.T) {
+// TestPopulationDefaultCohort pins the default cohort shape: ID
+// format, strategy and channel rotation, outage cadence and per-client
+// seeds. Every fleet pin (the golden JSONL, the BENCH sweep rows, the
+// benchmark digests) is built on it.
+func TestPopulationDefaultCohort(t *testing.T) {
 	strats := []core.Strategy{core.StrategyR, core.StrategyAL}
-	spec := MixedFleet(Workload{Name: "x"}, 7, strats, 3, core.SessionConfig{}, 42)
-	if len(spec.Clients) != 7 {
-		t.Fatalf("%d clients, want 7", len(spec.Clients))
+	pop := NewPopulation(7, WithSeed(42), WithStrategyMix(strats...), WithExecutions(3))
+	if pop.N() != 7 {
+		t.Fatalf("%d clients, want 7", pop.N())
 	}
 	channels := []ChannelKind{ChannelFixed, ChannelUniform, ChannelMarkov}
-	for i, c := range spec.Clients {
+	for i := 0; i < pop.N(); i++ {
+		c := pop.ClientAt(i)
 		if want := fmt.Sprintf("pda-%02d", i); c.ID != want {
 			t.Errorf("client %d ID = %q, want %q", i, c.ID, want)
 		}
@@ -42,33 +42,6 @@ func TestMixedFleetByteCompat(t *testing.T) {
 		wantOutage := i%5 == 4
 		if (c.Outage > 0) != wantOutage {
 			t.Errorf("client %d outage = %g, want outage: %v", i, c.Outage, wantOutage)
-		}
-	}
-}
-
-// TestPopulationClientAtMatchesSpecs checks the lazy accessor against
-// the materialized slice: a streamed run and a Clients-slice run must
-// see identical cohorts.
-func TestPopulationClientAtMatchesSpecs(t *testing.T) {
-	pop := NewPopulation(40,
-		WithSeed(9),
-		WithStrategyMix(core.StrategyAA, core.StrategyR),
-		WithChannelMix(ChannelMarkov, ChannelDrifting),
-		WithOutage(0.3, 4, 3),
-		WithExecutions(2),
-		WithSizes(16, 64),
-	)
-	specs := pop.ClientSpecs()
-	if len(specs) != pop.N() {
-		t.Fatalf("ClientSpecs len %d, want %d", len(specs), pop.N())
-	}
-	for i, want := range specs {
-		got := pop.ClientAt(i)
-		if got.ID != want.ID || got.Strategy != want.Strategy || got.Channel != want.Channel ||
-			got.Outage != want.Outage || got.Burst != want.Burst ||
-			got.Executions != want.Executions || got.Seed != want.Seed ||
-			len(got.Sizes) != len(want.Sizes) {
-			t.Errorf("ClientAt(%d) = %+v, want %+v", i, got, want)
 		}
 	}
 }
@@ -182,119 +155,74 @@ func TestArrivalCurves(t *testing.T) {
 	}
 }
 
-// TestPopulationRunMatchesClientSpecs is the API-migration guarantee:
-// the same cohort through the lazy Spec.Population and through the
-// materialized Spec.Clients slice produces byte-identical results.
-// (Arrival curves ride only on the population, so the comparable
-// cohort uses none; the drifting channels compare because the default
-// DriftSpec equals the overnight preset.)
-func TestPopulationRunMatchesClientSpecs(t *testing.T) {
-	w := testWorkload(t)
-	pop := func() *Population {
-		return NewPopulation(24,
-			WithSeed(11),
-			WithStrategyMix(core.StrategyR, core.StrategyAL, core.StrategyAA),
-			WithExecutions(2),
-			WithSizes(16, 32),
-			WithChannelMix(ChannelMarkov, ChannelDrifting),
-		)
-	}
-	lazy := Spec{Workload: w, Population: pop(), Server: core.SessionConfig{Workers: 2, QueueCap: 4}}
-	lazy.Concurrency = 4
-	eager := Spec{Workload: w, Clients: pop().ClientSpecs(), Server: core.SessionConfig{Workers: 2, QueueCap: 4}}
-	eager.Concurrency = 4
-
-	lr, err := Run(lazy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	er, err := Run(eager)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, eb := render(t, lr), render(t, er)
-	if !bytes.Equal(lb, eb) {
-		t.Fatalf("lazy and materialized cohorts diverge:\n--- lazy ---\n%s\n--- eager ---\n%s", lb, eb)
-	}
-}
-
-// TestSpecRejectsAmbiguousCohort: Clients and Population are
-// exclusive, and an empty spec is an error, not an empty run.
+// TestSpecRejectsAmbiguousCohort: a spec without a cohort is an
+// error, not an empty run.
 func TestSpecRejectsAmbiguousCohort(t *testing.T) {
 	w := testWorkload(t)
-	both := Spec{Workload: w, Clients: []ClientSpec{{ID: "a", Executions: 1}},
-		Population: NewPopulation(2)}
-	if _, err := Run(both); err == nil || !strings.Contains(err.Error(), "both Clients and Population") {
-		t.Errorf("Run with both cohort sources: %v", err)
-	}
-	if _, err := Run(Spec{Workload: w}); err == nil || !strings.Contains(err.Error(), "no clients") {
-		t.Errorf("Run with no cohort: %v", err)
+	for _, spec := range []Spec{{Workload: w}, {Workload: w, Population: NewPopulation(0)}} {
+		if _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "no clients") {
+			t.Errorf("Run with no cohort: %v", err)
+		}
 	}
 }
 
-// TestStreamedRunMatchesRetained: a ResultSink must see exactly the
-// records a retained run materializes, in arrival order, while the
-// streamed Result keeps Clients nil and the same totals.
-func TestStreamedRunMatchesRetained(t *testing.T) {
+// TestRunRejectsOutOfRangeInputs: population and chaos parameters the
+// channel and fault models cannot take fail Run with an error before
+// any client launches, instead of panicking inside the simulation.
+func TestRunRejectsOutOfRangeInputs(t *testing.T) {
 	w := testWorkload(t)
-	build := func() Spec {
-		spec := Spec{Workload: w, Population: NewPopulation(30,
-			WithSeed(6),
-			WithStrategyMix(core.StrategyR, core.StrategyAA),
-			WithExecutions(2),
-			WithSizes(16),
-			WithArrivalCurve(ArrivalSpec{Kind: ArriveUniform, Span: 0.02}),
-		), Server: core.SessionConfig{Workers: 2, QueueCap: 4}}
-		spec.Concurrency = 4
-		return spec
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		{"drift depth", Spec{Workload: w, Population: NewPopulation(3,
+			WithChannelMix(ChannelDrifting), WithChannelDrift(DriftSpec{Depth: 0.9}))},
+			"fleet: channel drift depth 0.9"},
+		{"outage fraction", Spec{Workload: w, Population: NewPopulation(3, WithOutage(1.5, 3, 1))},
+			"fleet: outage fraction 1.5"},
+		{"backend loss rate", Spec{Workload: w, Population: NewPopulation(3),
+			Chaos: []BackendChaos{{LossRate: 1.2}}},
+			"fleet: backend s0: loss rate 1.2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Run(tc.spec)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Run error %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
-	retained, err := Run(build())
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	var streamed []ClientResult
-	spec := build()
-	spec.ResultSink = func(cr ClientResult) { streamed = append(streamed, cr) }
-	sr, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Clients != nil {
-		t.Errorf("streamed Result retained %d client records", len(sr.Clients))
-	}
-	if sr.Totals != retained.Totals {
-		t.Errorf("totals diverge: %+v vs %+v", sr.Totals, retained.Totals)
-	}
-	if len(streamed) != len(retained.Clients) {
-		t.Fatalf("sink saw %d records, retained run %d", len(streamed), len(retained.Clients))
-	}
-	// The sink sees arrival order; the retained slice is in client
-	// order. Compare as sets keyed by ID, and check the sink's order
-	// is the arrival order.
-	byID := map[string]ClientResult{}
-	for _, c := range retained.Clients {
-		byID[c.ID] = c
-	}
-	pop := spec.Population
+// TestResultSinkRetiresInArrivalOrder: the sink sees every client
+// exactly once, in arrival order, and the run's Totals equal the
+// records' sums bit for bit (runClients checks both).
+func TestResultSinkRetiresInArrivalOrder(t *testing.T) {
+	w := testWorkload(t)
+	spec := Spec{Workload: w, Population: NewPopulation(30,
+		WithSeed(6),
+		WithStrategyMix(core.StrategyR, core.StrategyAA),
+		WithExecutions(2),
+		WithSizes(16),
+		WithArrivalCurve(ArrivalSpec{Kind: ArriveUniform, Span: 0.02}),
+	), Server: core.SessionConfig{Workers: 2, QueueCap: 4}, Concurrency: 4}
+	_, recs := runClients(t, spec)
 	var lastStart energy.Seconds = -1
-	for i, c := range streamed {
-		want, ok := byID[c.ID]
-		if !ok {
-			t.Fatalf("sink record %d (%s) not in retained run", i, c.ID)
-		}
-		if fmt.Sprintf("%+v", c) != fmt.Sprintf("%+v", want) {
-			t.Errorf("record %s diverges:\nstream %+v\nretain %+v", c.ID, c, want)
-		}
+	reordered := false
+	for i, c := range recs {
 		var idx int
 		if _, err := fmt.Sscanf(c.ID, "pda-%d", &idx); err != nil {
 			t.Fatalf("unparseable client ID %q: %v", c.ID, err)
 		}
-		at := pop.StartAt(idx)
+		at := spec.Population.StartAt(idx)
 		if at < lastStart {
 			t.Errorf("sink order broke arrival order at %s (%v after %v)", c.ID, at, lastStart)
 		}
 		lastStart = at
+		reordered = reordered || idx != i
+	}
+	if !reordered {
+		t.Error("arrival order equals index order; the ordering check is vacuous")
 	}
 }
 

@@ -17,19 +17,17 @@ import (
 // loss over three backends) with windowed telemetry switched on.
 func telemetryChaosSpec(t *testing.T, conc int) Spec {
 	t.Helper()
-	w := offloadWorkload(t)
-	chaos := make([]BackendChaos, 3)
-	chaos[0] = BackendChaos{FlapAt: 0.001, FlapDown: 0.002, FlapEvery: 0.004}
-	chaos[1] = BackendChaos{BrownoutAt: 0.0005, BrownoutFactor: 6, LossRate: 0.3, LossBurst: 4}
-	spec := MixedFleet(w, 24, []core.Strategy{core.StrategyR, core.StrategyAL, core.StrategyAA}, 6,
-		core.SessionConfig{Workers: 2, QueueCap: 8}, 42)
-	spec.Servers = 3
-	spec.Placement = PlaceP2C
-	spec.Chaos = chaos
-	spec.Breaker = &core.Breaker{Threshold: 2, Cooldown: 0.05, MaxCooldown: 0.4, ProbeBytes: 16}
-	spec.Concurrency = conc
-	spec.Telemetry = &TelemetrySpec{Tick: 0.0005}
-	return spec
+	return Spec{Workload: offloadWorkload(t),
+		Population: NewPopulation(24, WithSeed(42), mixedStrategies, WithExecutions(6)),
+		Server:     core.SessionConfig{Workers: 2, QueueCap: 8},
+		Servers:    3, Placement: PlaceP2C,
+		Chaos: []BackendChaos{
+			{FlapAt: 0.001, FlapDown: 0.002, FlapEvery: 0.004},
+			{BrownoutAt: 0.0005, BrownoutFactor: 6, LossRate: 0.3, LossBurst: 4},
+		},
+		Breaker:     &core.Breaker{Threshold: 2, Cooldown: 0.05, MaxCooldown: 0.4, ProbeBytes: 16},
+		Concurrency: conc,
+		Telemetry:   &TelemetrySpec{Tick: 0.0005}}
 }
 
 func seriesJSONL(t *testing.T, res *Result) []byte {
@@ -50,21 +48,15 @@ func seriesJSONL(t *testing.T, res *Result) []byte {
 // byte-identical whether the clients simulate serially or on eight
 // slots.
 func TestTimeSeriesDeterministicAcrossConcurrency(t *testing.T) {
-	serial, err := Run(telemetryChaosSpec(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Run(telemetryChaosSpec(t, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, serialRecs := runClients(t, telemetryChaosSpec(t, 1))
+	parallel, parallelRecs := runClients(t, telemetryChaosSpec(t, 8))
 	sj, pj := seriesJSONL(t, serial), seriesJSONL(t, parallel)
 	if !bytes.Equal(sj, pj) {
 		t.Error("time-series JSONL diverged between serial and 8-way simulation")
 	}
 	// The aggregate results stay byte-identical too (telemetry must not
 	// perturb the simulation).
-	if !bytes.Equal(render(t, serial), render(t, parallel)) {
+	if !bytes.Equal(render(t, serial, serialRecs), render(t, parallel, parallelRecs)) {
 		t.Error("fleet results diverged between serial and 8-way simulation")
 	}
 }
@@ -99,10 +91,7 @@ func TestTelemetryTailIndependentOfHostTiming(t *testing.T) {
 		}
 	}
 	tail := func(conc int) string {
-		res, err := Run(build(conc))
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, _ := runClients(t, build(conc))
 		var b strings.Builder
 		for _, be := range res.Backends {
 			fmt.Fprintf(&b, "%s flaps=%d down=%v\n", be.ID, be.Flaps, be.Down)
@@ -127,10 +116,7 @@ func TestTelemetryTailIndependentOfHostTiming(t *testing.T) {
 // is contiguous and tick-aligned, and the chaos schedule shows up
 // (backend s0's down transitions, brownout-era behavior on s1).
 func TestTimeSeriesContent(t *testing.T) {
-	res, err := Run(telemetryChaosSpec(t, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := runClients(t, telemetryChaosSpec(t, 0))
 	wins := res.Series.Windows()
 	if len(wins) == 0 {
 		t.Fatal("no windows recorded")
@@ -190,10 +176,7 @@ func TestTimeSeriesContent(t *testing.T) {
 // TestTimeSeriesJSONLSchema decodes the exported JSONL and checks the
 // header and window invariants the benchreport validator enforces.
 func TestTimeSeriesJSONLSchema(t *testing.T) {
-	res, err := Run(telemetryChaosSpec(t, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := runClients(t, telemetryChaosSpec(t, 0))
 	raw := seriesJSONL(t, res)
 	sc := bufio.NewScanner(bytes.NewReader(raw))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -227,9 +210,7 @@ func TestTimeSeriesJSONLSchema(t *testing.T) {
 // TestTelemetryRejectsBadTick: a telemetry spec without a positive
 // tick is a spec error, not a panic deep in the engine.
 func TestTelemetryRejectsBadTick(t *testing.T) {
-	spec := MixedFleet(testWorkload(t), 2, []core.Strategy{core.StrategyR}, 1,
-		core.SessionConfig{}, 1)
-	spec.Telemetry = &TelemetrySpec{}
+	spec := Spec{Workload: testWorkload(t), Population: NewPopulation(2), Telemetry: &TelemetrySpec{}}
 	if _, err := Run(spec); err == nil {
 		t.Error("want error for zero telemetry tick")
 	}
@@ -241,10 +222,7 @@ func TestTelemetryLiveRegistry(t *testing.T) {
 	spec := telemetryChaosSpec(t, 0)
 	reg := obs.NewRegistry()
 	spec.Telemetry.Live = reg
-	res, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := runClients(t, spec)
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
