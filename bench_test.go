@@ -10,8 +10,6 @@ package greenvm
 
 import (
 	"context"
-
-	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -21,7 +19,6 @@ import (
 	"greenvm/internal/core"
 	"greenvm/internal/energy"
 	"greenvm/internal/experiments"
-	"greenvm/internal/fleet"
 	"greenvm/internal/isa"
 	"greenvm/internal/jit"
 	"greenvm/internal/lang"
@@ -137,58 +134,6 @@ func BenchmarkFig7AdaptiveStrategies(b *testing.B) {
 		perRun = float64(cell.Energy) / 20 * 1e3
 	}
 	b.ReportMetric(perRun, "mJ/execution")
-}
-
-// BenchmarkFigureGrid compares serial and parallel execution of the
-// Fig 7 scenario grid (2 apps × 3 situations × 7 strategies, 20
-// executions each). The outputs are byte-identical; only wall clock
-// differs. Measured speedups are recorded in EXPERIMENTS.md.
-func BenchmarkFigureGrid(b *testing.B) {
-	fe, srt := preparedEnvs(b)
-	envs := []*experiments.Env{fe, srt}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			r := experiments.NewRunner(workers)
-			var norm float64
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunFig7On(r, envs, 20, 42)
-				if err != nil {
-					b.Fatal(err)
-				}
-				norm = res.Strategy(experiments.SitUniform, core.StrategyAL)
-			}
-			b.ReportMetric(norm, "AL/L1")
-		})
-	}
-}
-
-// BenchmarkFleet runs a 16-client mixed-strategy fleet against the
-// shared server at one and at four simulation slots: the contention is
-// resolved in virtual time, so the slots change only wall-clock cost —
-// the reported shed rate is identical across the sub-benchmarks.
-func BenchmarkFleet(b *testing.B) {
-	fe, _ := preparedEnvs(b)
-	w := fleet.WorkloadOf(fe)
-	for _, conc := range []int{1, 4} {
-		b.Run(fmt.Sprintf("slots=%d", conc), func(b *testing.B) {
-			var rate float64
-			for i := 0; i < b.N; i++ {
-				res, err := fleet.Run(fleet.Spec{Workload: w,
-					Population: fleet.NewPopulation(16, fleet.WithSeed(42),
-						fleet.WithStrategyMix(core.StrategyR, core.StrategyAL, core.StrategyAA),
-						fleet.WithExecutions(3)),
-					Server: core.SessionConfig{Workers: 2, QueueCap: 4}, Concurrency: conc})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Totals.Errors > 0 {
-					b.Fatalf("%d clients failed", res.Totals.Errors)
-				}
-				rate = res.ShedRate()
-			}
-			b.ReportMetric(100*rate, "shed%")
-		})
-	}
 }
 
 // BenchmarkFig8CompilationEnergy regenerates the Fig 8 compilation

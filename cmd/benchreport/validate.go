@@ -185,7 +185,7 @@ func validateProm(r io.Reader) (int, error) {
 				return n, fmt.Errorf("line %d: summary sample %s lacks a quantile label", lineNo, name)
 			}
 			q, err := strconv.ParseFloat(qm[1], 64)
-			if err != nil || q < 0 || q > 1 {
+			if err != nil || !(q >= 0 && q <= 1) {
 				return n, fmt.Errorf("line %d: summary %s has quantile %q outside [0,1]", lineNo, name, qm[1])
 			}
 			summaries[name].quantiles = true

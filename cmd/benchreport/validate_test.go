@@ -9,9 +9,9 @@ import (
 	"greenvm/internal/obs"
 )
 
-// TestValidateTimeSeriesRoundTrip: what obs.TimeSeries writes, the
-// validator accepts — the contract CI relies on.
-func TestValidateTimeSeriesRoundTrip(t *testing.T) {
+// sampleSeries records 40 counter and gauge writes over several
+// windows and returns the recorder's JSONL and its window count.
+func sampleSeries(t testing.TB) ([]byte, int) {
 	ts := obs.NewTimeSeries(0.0005, 0)
 	for i := 0; i < 40; i++ {
 		at := float64(i) * 0.0003
@@ -23,31 +23,42 @@ func TestValidateTimeSeriesRoundTrip(t *testing.T) {
 	if err := ts.WriteJSONL(&b); err != nil {
 		t.Fatal(err)
 	}
-	n, err := validateTimeSeries(&b)
+	return b.Bytes(), len(ts.Windows())
+}
+
+// TestValidateTimeSeriesRoundTrip: what obs.TimeSeries writes, the
+// validator accepts — the contract CI relies on.
+func TestValidateTimeSeriesRoundTrip(t *testing.T) {
+	b, windows := sampleSeries(t)
+	n, err := validateTimeSeries(bytes.NewReader(b))
 	if err != nil {
 		t.Fatalf("round-trip rejected: %v", err)
 	}
-	if n != len(ts.Windows()) {
-		t.Errorf("validated %d windows, recorder has %d", n, len(ts.Windows()))
+	if n != windows {
+		t.Errorf("validated %d windows, recorder has %d", n, windows)
 	}
 }
 
+const tsHeader = `{"schema":"greenvm-timeseries/1","tick":0.5,"windows":2}`
+
+// tsRejects are timeseries files the validator must reject, with a
+// fragment of the error each must give.
+var tsRejects = []struct {
+	name, in, wantErr string
+}{
+	{"empty", "", "missing header"},
+	{"bad schema", `{"schema":"nope/9","tick":0.5,"windows":0}`, "schema"},
+	{"zero tick", `{"schema":"greenvm-timeseries/1","tick":0,"windows":0}`, "tick"},
+	{"negative windows", `{"schema":"greenvm-timeseries/1","tick":0.5,"windows":-1}`, "non-negative"},
+	{"count mismatch", tsHeader + "\n" + `{"i":0,"t0":0,"t1":0.5}`, "found 1"},
+	{"gap", tsHeader + "\n" + `{"i":0,"t0":0,"t1":0.5}` + "\n" + `{"i":2,"t0":1,"t1":1.5}`, "not contiguous"},
+	{"misaligned", tsHeader + "\n" + `{"i":0,"t0":0,"t1":0.5}` + "\n" + `{"i":1,"t0":0.6,"t1":1}`, "not aligned"},
+	{"negative counter", tsHeader + "\n" + `{"i":0,"t0":0,"t1":0.5,"c":{"served":-1}}` + "\n" + `{"i":1,"t0":0.5,"t1":1}`, "non-negative"},
+	{"unknown field", tsHeader + "\n" + `{"i":0,"t0":0,"t1":0.5,"zz":1}` + "\n" + `{"i":1,"t0":0.5,"t1":1}`, "unknown field"},
+}
+
 func TestValidateTimeSeriesRejects(t *testing.T) {
-	hdr := `{"schema":"greenvm-timeseries/1","tick":0.5,"windows":2}`
-	cases := []struct {
-		name, in, wantErr string
-	}{
-		{"empty", "", "missing header"},
-		{"bad schema", `{"schema":"nope/9","tick":0.5,"windows":0}`, "schema"},
-		{"zero tick", `{"schema":"greenvm-timeseries/1","tick":0,"windows":0}`, "tick"},
-		{"negative windows", `{"schema":"greenvm-timeseries/1","tick":0.5,"windows":-1}`, "non-negative"},
-		{"count mismatch", hdr + "\n" + `{"i":0,"t0":0,"t1":0.5}`, "found 1"},
-		{"gap", hdr + "\n" + `{"i":0,"t0":0,"t1":0.5}` + "\n" + `{"i":2,"t0":1,"t1":1.5}`, "not contiguous"},
-		{"misaligned", hdr + "\n" + `{"i":0,"t0":0,"t1":0.5}` + "\n" + `{"i":1,"t0":0.6,"t1":1}`, "not aligned"},
-		{"negative counter", hdr + "\n" + `{"i":0,"t0":0,"t1":0.5,"c":{"served":-1}}` + "\n" + `{"i":1,"t0":0.5,"t1":1}`, "non-negative"},
-		{"unknown field", hdr + "\n" + `{"i":0,"t0":0,"t1":0.5,"zz":1}` + "\n" + `{"i":1,"t0":0.5,"t1":1}`, "unknown field"},
-	}
-	for _, tc := range cases {
+	for _, tc := range tsRejects {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := validateTimeSeries(strings.NewReader(tc.in))
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -57,10 +68,9 @@ func TestValidateTimeSeriesRejects(t *testing.T) {
 	}
 }
 
-// TestValidatePromRoundTrip: the registry's Prometheus exposition —
-// including a summary with streaming quantiles — passes the
-// validator's summary contract.
-func TestValidatePromRoundTrip(t *testing.T) {
+// sampleProm is a registry's Prometheus exposition with a counter, a
+// gauge, a histogram and a summary with streaming quantiles.
+func sampleProm(t testing.TB) string {
 	reg := obs.NewRegistry()
 	reg.Counter("rt_requests_total", "requests").WithLabels("backend", "s0").Add(3)
 	reg.Gauge("rt_depth", "queue depth").WithLabels().Set(2)
@@ -74,29 +84,42 @@ func TestValidatePromRoundTrip(t *testing.T) {
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	n, err := validateProm(strings.NewReader(b.String()))
+	return b.String()
+}
+
+// TestValidatePromRoundTrip: the registry's Prometheus exposition —
+// including a summary with streaming quantiles — passes the
+// validator's summary contract.
+func TestValidatePromRoundTrip(t *testing.T) {
+	text := sampleProm(t)
+	n, err := validateProm(strings.NewReader(text))
 	if err != nil {
-		t.Fatalf("round-trip rejected: %v\n%s", err, b.String())
+		t.Fatalf("round-trip rejected: %v\n%s", err, text)
 	}
 	if n == 0 {
 		t.Error("no samples validated")
 	}
 }
 
+// promRejects are expositions the validator must reject, with a
+// fragment of the error each must give.
+var promRejects = []struct {
+	name, in, wantErr string
+}{
+	{"malformed line", "what even is this\n", "malformed sample"},
+	{"bad value", "x_total 1.2.3\n", "unparseable value"},
+	{"summary missing sum",
+		"# TYPE w summary\nw{quantile=\"0.5\"} 1\nw_count 2\n", "incomplete"},
+	{"summary without quantile label",
+		"# TYPE w summary\nw 1\n", "lacks a quantile"},
+	{"quantile out of range",
+		"# TYPE w summary\nw{quantile=\"1.5\"} 1\nw_sum 1\nw_count 1\n", "outside [0,1]"},
+	{"NaN quantile",
+		"# TYPE w summary\nw{quantile=\"NaN\"} 1\nw_sum 1\nw_count 1\n", "outside [0,1]"},
+}
+
 func TestValidatePromRejects(t *testing.T) {
-	cases := []struct {
-		name, in, wantErr string
-	}{
-		{"malformed line", "what even is this\n", "malformed sample"},
-		{"bad value", "x_total 1.2.3\n", "unparseable value"},
-		{"summary missing sum",
-			"# TYPE w summary\nw{quantile=\"0.5\"} 1\nw_count 2\n", "incomplete"},
-		{"summary without quantile label",
-			"# TYPE w summary\nw 1\n", "lacks a quantile"},
-		{"quantile out of range",
-			"# TYPE w summary\nw{quantile=\"1.5\"} 1\nw_sum 1\nw_count 1\n", "outside [0,1]"},
-	}
-	for _, tc := range cases {
+	for _, tc := range promRejects {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := validateProm(strings.NewReader(tc.in))
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -138,4 +161,32 @@ func TestRunValidateFiles(t *testing.T) {
 	if !strings.Contains(out.String(), "3 windows") || !strings.Contains(out.String(), "samples") {
 		t.Errorf("unexpected validate output:\n%s", out.String())
 	}
+}
+
+// FuzzValidateTimeSeries: the timeseries validator never panics, on
+// round-trip output, on the reject cases or on anything between.
+func FuzzValidateTimeSeries(f *testing.F) {
+	b, _ := sampleSeries(f)
+	f.Add(b)
+	for _, tc := range tsRejects {
+		f.Add([]byte(tc.in))
+	}
+	f.Add([]byte(`{"schema":"greenvm-timeseries/1","tick":NaN,"windows":0}`))
+	f.Add([]byte(tsHeader + "\n" + `{"i":0,"t0":0,"t1":0.5,"g":{"up":1e999}}`))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		_, _ = validateTimeSeries(bytes.NewReader(in))
+	})
+}
+
+// FuzzValidateProm: the Prometheus validator never panics, on
+// round-trip output, on the reject cases or on anything between.
+func FuzzValidateProm(f *testing.F) {
+	f.Add(sampleProm(f))
+	for _, tc := range promRejects {
+		f.Add(tc.in)
+	}
+	f.Add("# TYPE w summary\nw{quantile=\"0.5\"} NaN\nw_sum +Inf\nw_count 1\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		_, _ = validateProm(strings.NewReader(in))
+	})
 }

@@ -52,6 +52,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -132,8 +133,8 @@ func (tf telemetryFlags) validate(sweep, chaosSweep bool) error {
 	if sweep || chaosSweep {
 		return fmt.Errorf("-timeseries/-serve-metrics record a single run; drop -sweep/-chaos-sweep or the telemetry flags")
 	}
-	if tf.tick <= 0 {
-		return fmt.Errorf("-tick %g: the telemetry window width must be positive", tf.tick)
+	if !(tf.tick > 0) || math.IsInf(tf.tick, 1) {
+		return fmt.Errorf("-tick %g: the telemetry window width must be positive and finite", tf.tick)
 	}
 	return nil
 }
@@ -505,8 +506,8 @@ func parseChaos(fail, flap, brownout, loss string, servers int) ([]fleet.Backend
 	}
 	secs := func(flag, s string) (energy.Seconds, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil || v <= 0 {
-			return 0, fmt.Errorf("%s: %q is not a positive duration in virtual seconds", flag, s)
+		if err != nil || !(v > 0) || math.IsInf(v, 1) {
+			return 0, fmt.Errorf("%s: %q is not a finite, positive duration in virtual seconds", flag, s)
 		}
 		return energy.Seconds(v), nil
 	}
@@ -566,8 +567,8 @@ func parseChaos(fail, flap, brownout, loss string, servers int) ([]fleet.Backend
 			return nil, fmt.Errorf("-brownout %q: missing the xfactor suffix, e.g. s0@0.0005x8", ent)
 		}
 		f, err := strconv.ParseFloat(strings.TrimSpace(factor), 64)
-		if err != nil || f <= 1 {
-			return nil, fmt.Errorf("-brownout %q: factor %q must be > 1", ent, factor)
+		if err != nil || !(f > 1) || math.IsInf(f, 1) {
+			return nil, fmt.Errorf("-brownout %q: factor %q must be > 1 and finite", ent, factor)
 		}
 		chaos[i].BrownoutFactor = f
 		at, dur, hasDur := strings.Cut(times, "+")
@@ -591,14 +592,14 @@ func parseChaos(fail, flap, brownout, loss string, servers int) ([]fleet.Backend
 		}
 		rate, burst, hasBurst := strings.Cut(rest, "/")
 		r, err := strconv.ParseFloat(strings.TrimSpace(rate), 64)
-		if err != nil || r <= 0 || r >= 1 {
+		if err != nil || !(r > 0 && r < 1) {
 			return nil, fmt.Errorf("-loss %q: rate %q must be in (0, 1)", ent, rate)
 		}
 		chaos[i].LossRate = r
 		if hasBurst {
 			b, err := strconv.ParseFloat(strings.TrimSpace(burst), 64)
-			if err != nil || b < 1 {
-				return nil, fmt.Errorf("-loss %q: burst %q must be >= 1", ent, burst)
+			if err != nil || !(b >= 1) || math.IsInf(b, 1) {
+				return nil, fmt.Errorf("-loss %q: burst %q must be >= 1 and finite", ent, burst)
 			}
 			chaos[i].LossBurst = b
 		}

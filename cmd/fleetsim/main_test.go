@@ -1,9 +1,11 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"greenvm/internal/energy"
 	"greenvm/internal/fleet"
 )
 
@@ -151,23 +153,36 @@ func TestParseChaosValid(t *testing.T) {
 	}
 }
 
+// chaosNonsense are chaos flag values parseChaos must reject, with a
+// fragment of the error each must give.
+var chaosNonsense = []struct {
+	name                       string
+	fail, flap, brownout, loss string
+	wantErr                    string
+}{
+	{"unknown backend", "s7@0.002", "", "", "", "unknown backend"},
+	{"fail missing time", "s0", "", "", "", "want name@time"},
+	{"fail negative time", "s0@-1", "", "", "", "positive duration"},
+	{"flap too many fields", "", "s0@0.1/0.2/0.3/0.4", "", "", "at most"},
+	{"brownout missing factor", "", "", "s0@0.0005", "", "xfactor"},
+	{"brownout factor too small", "", "", "s0@0.0005x1", "", "must be > 1"},
+	{"loss missing rate", "", "", "", "s0", "want name:rate"},
+	{"loss rate out of range", "", "", "", "s0:1.5", "must be in (0, 1)"},
+	{"loss burst too small", "", "", "", "s0:0.3/0.5", "must be >= 1"},
+	{"fail NaN time", "s0@NaN", "", "", "", "finite, positive duration"},
+	{"fail infinite time", "s0@Inf", "", "", "", "finite, positive duration"},
+	{"flap NaN down time", "", "s0@0.001/NaN/0.004", "", "", "finite, positive duration"},
+	{"flap infinite period", "", "s0@0.001/0.002/Inf", "", "", "finite, positive duration"},
+	{"brownout NaN start", "", "", "s0@NaNx8", "", "finite, positive duration"},
+	{"brownout NaN factor", "", "", "s0@0.001xNaN", "", "must be > 1 and finite"},
+	{"brownout infinite factor", "", "", "s0@0.001xInf", "", "must be > 1 and finite"},
+	{"loss NaN rate", "", "", "", "s0:NaN", "must be in (0, 1)"},
+	{"loss NaN burst", "", "", "", "s0:0.3/NaN", "must be >= 1 and finite"},
+	{"loss infinite burst", "", "", "", "s0:0.3/Inf", "must be >= 1 and finite"},
+}
+
 func TestParseChaosRejectsNonsense(t *testing.T) {
-	cases := []struct {
-		name                       string
-		fail, flap, brownout, loss string
-		wantErr                    string
-	}{
-		{"unknown backend", "s7@0.002", "", "", "", "unknown backend"},
-		{"fail missing time", "s0", "", "", "", "want name@time"},
-		{"fail negative time", "s0@-1", "", "", "", "positive duration"},
-		{"flap too many fields", "", "s0@0.1/0.2/0.3/0.4", "", "", "at most"},
-		{"brownout missing factor", "", "", "s0@0.0005", "", "xfactor"},
-		{"brownout factor too small", "", "", "s0@0.0005x1", "", "must be > 1"},
-		{"loss missing rate", "", "", "", "s0", "want name:rate"},
-		{"loss rate out of range", "", "", "", "s0:1.5", "must be in (0, 1)"},
-		{"loss burst too small", "", "", "", "s0:0.3/0.5", "must be >= 1"},
-	}
-	for _, tc := range cases {
+	for _, tc := range chaosNonsense {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := parseChaos(tc.fail, tc.flap, tc.brownout, tc.loss, 2)
 			if err == nil {
@@ -178,6 +193,41 @@ func TestParseChaosRejectsNonsense(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseChaos: the chaos flag parser never panics, and every spec
+// it accepts has finite times that are zero (unset) or positive, a
+// brown-out factor above 1, a loss rate in (0, 1) and a burst of at
+// least 1.
+func FuzzParseChaos(f *testing.F) {
+	f.Add("s1@0.002", "s0@0.001/0.002/0.004", "s0@0.0005+0.01x8", "s1:0.35/4", 2)
+	for _, tc := range chaosNonsense {
+		f.Add(tc.fail, tc.flap, tc.brownout, tc.loss, 2)
+	}
+	f.Fuzz(func(t *testing.T, fail, flap, brownout, loss string, servers int) {
+		servers = 1 + int(uint(servers)%4)
+		chaos, err := parseChaos(fail, flap, brownout, loss, servers)
+		if err != nil {
+			return
+		}
+		finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+		for i, c := range chaos {
+			for _, v := range []energy.Seconds{c.FailAt, c.FlapAt, c.FlapDown, c.FlapEvery, c.BrownoutAt, c.BrownoutFor} {
+				if !(v >= 0) || !finite(float64(v)) {
+					t.Fatalf("s%d: accepted time %g in %+v", i, float64(v), c)
+				}
+			}
+			if c.BrownoutFactor != 0 && !(c.BrownoutFactor > 1 && finite(c.BrownoutFactor)) {
+				t.Fatalf("s%d: accepted brown-out factor %g", i, c.BrownoutFactor)
+			}
+			if c.LossRate != 0 && !(c.LossRate > 0 && c.LossRate < 1) {
+				t.Fatalf("s%d: accepted loss rate %g", i, c.LossRate)
+			}
+			if c.LossBurst != 0 && !(c.LossBurst >= 1 && finite(c.LossBurst)) {
+				t.Fatalf("s%d: accepted loss burst %g", i, c.LossBurst)
+			}
+		}
+	})
 }
 
 func TestTelemetryFlagsValidate(t *testing.T) {
@@ -195,6 +245,8 @@ func TestTelemetryFlagsValidate(t *testing.T) {
 		{"serve with chaos sweep", telemetryFlags{serve: ":0", tick: 0.0005}, false, true, "single run"},
 		{"zero tick", telemetryFlags{path: "ts.jsonl"}, false, false, "must be positive"},
 		{"negative tick", telemetryFlags{path: "ts.jsonl", tick: -1}, false, false, "must be positive"},
+		{"NaN tick", telemetryFlags{path: "ts.jsonl", tick: math.NaN()}, false, false, "must be positive"},
+		{"infinite tick", telemetryFlags{serve: ":0", tick: math.Inf(1)}, false, false, "must be positive and finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

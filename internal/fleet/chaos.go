@@ -54,10 +54,29 @@ type BackendChaos struct {
 	LossSeed  uint64
 }
 
-// validate rejects fault shapes the backend's loss chain cannot take.
+// validate rejects fault shapes the engine and the backend's loss
+// chain cannot take: a loss rate outside [0, 1), and any time, factor
+// or burst length that is NaN or infinite.
 func (c BackendChaos) validate() error {
-	if c.LossRate < 0 || c.LossRate >= 1 {
+	if !(c.LossRate >= 0 && c.LossRate < 1) {
 		return fmt.Errorf("loss rate %g must be in [0, 1)", c.LossRate)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"fail time", float64(c.FailAt)},
+		{"flap time", float64(c.FlapAt)},
+		{"flap down time", float64(c.FlapDown)},
+		{"flap period", float64(c.FlapEvery)},
+		{"brown-out start", float64(c.BrownoutAt)},
+		{"brown-out length", float64(c.BrownoutFor)},
+		{"brown-out factor", c.BrownoutFactor},
+		{"loss burst", c.LossBurst},
+	} {
+		if !finite(f.v) {
+			return fmt.Errorf("%s %g must be finite", f.name, f.v)
+		}
 	}
 	return nil
 }

@@ -293,8 +293,8 @@ func Run(spec Spec) (*Result, error) {
 	var rec *tsRec
 	var fold *clientFold
 	if spec.Telemetry != nil {
-		if spec.Telemetry.Tick <= 0 {
-			return nil, fmt.Errorf("fleet: telemetry tick %v must be positive", spec.Telemetry.Tick)
+		if tick := float64(spec.Telemetry.Tick); !(tick > 0) || !finite(tick) {
+			return nil, fmt.Errorf("fleet: telemetry tick %g must be positive and finite", tick)
 		}
 		rec = newTSRec(spec.Telemetry, pool)
 		fold = newClientFold(spec.Telemetry.Tick)

@@ -158,14 +158,30 @@ func (p *Population) validate() error {
 	if err := p.arrival.validate(); err != nil {
 		return err
 	}
-	if d := p.drift.withDefaults(); d.Depth < 0 || d.Depth > 0.5 {
+	d := p.drift.withDefaults()
+	if !(d.Depth >= 0 && d.Depth <= 0.5) {
 		return fmt.Errorf("fleet: channel drift depth %g must be in [0, 0.5]", d.Depth)
 	}
-	if p.outageMod > 0 && (p.outageFrac < 0 || p.outageFrac >= 1) {
-		return fmt.Errorf("fleet: outage fraction %g must be in [0, 1)", p.outageFrac)
+	if !finite(d.Period) {
+		return fmt.Errorf("fleet: channel drift period %g must be finite", d.Period)
+	}
+	if !(d.Stay >= 0 && d.Stay <= 1) {
+		return fmt.Errorf("fleet: channel drift stay probability %g must be in [0, 1]", d.Stay)
+	}
+	if p.outageMod > 0 {
+		if !(p.outageFrac >= 0 && p.outageFrac < 1) {
+			return fmt.Errorf("fleet: outage fraction %g must be in [0, 1)", p.outageFrac)
+		}
+		if !finite(p.burstLen) {
+			return fmt.Errorf("fleet: outage burst length %g must be finite", p.burstLen)
+		}
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor infinite. Range checks
+// are written so that NaN fails them; finite catches the infinities.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // StartAt returns client i's arrival time under the population's
 // arrival curve.
@@ -234,10 +250,10 @@ func (a ArrivalSpec) validate() error {
 	if a.Kind == ArriveNone {
 		return nil
 	}
-	if a.Span <= 0 {
-		return fmt.Errorf("fleet: arrival span %v must be positive", a.Span)
+	if !(a.Span > 0) || !finite(float64(a.Span)) {
+		return fmt.Errorf("fleet: arrival span %g must be a positive, finite number of virtual seconds", float64(a.Span))
 	}
-	if a.Amplitude < 0 || a.Amplitude > 1 {
+	if !(a.Amplitude >= 0 && a.Amplitude <= 1) {
 		return fmt.Errorf("fleet: arrival amplitude %g must be in [0, 1]", a.Amplitude)
 	}
 	return nil
@@ -310,23 +326,23 @@ func ParseArrival(s string) (ArrivalSpec, error) {
 	}
 	spanStr, ampStr, hasAmp := strings.Cut(rest, "/")
 	span, err := strconv.ParseFloat(spanStr, 64)
-	if err != nil || span <= 0 {
-		return ArrivalSpec{}, fmt.Errorf("arrival span %q must be a positive number of virtual seconds", spanStr)
+	if err != nil {
+		return ArrivalSpec{}, fmt.Errorf("arrival span %q is not a number of virtual seconds", spanStr)
 	}
 	spec.Span = energy.Seconds(span)
-	if spec.Kind == ArriveUniform {
-		if hasAmp {
-			return ArrivalSpec{}, fmt.Errorf("arrival curve %q takes no amplitude", name)
-		}
-		return spec, nil
+	if spec.Kind == ArriveUniform && hasAmp {
+		return ArrivalSpec{}, fmt.Errorf("arrival curve %q takes no amplitude", name)
 	}
-	spec.Amplitude = 0.9
-	if hasAmp {
-		amp, err := strconv.ParseFloat(ampStr, 64)
-		if err != nil || amp < 0 || amp > 1 {
-			return ArrivalSpec{}, fmt.Errorf("arrival amplitude %q must be in [0, 1]", ampStr)
+	if spec.Kind == ArriveDiurnal {
+		spec.Amplitude = 0.9
+		if hasAmp {
+			if spec.Amplitude, err = strconv.ParseFloat(ampStr, 64); err != nil {
+				return ArrivalSpec{}, fmt.Errorf("arrival amplitude %q is not a number", ampStr)
+			}
 		}
-		spec.Amplitude = amp
+	}
+	if err := spec.validate(); err != nil {
+		return ArrivalSpec{}, err
 	}
 	return spec, nil
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 // TestPopulationDefaultCohort pins the default cohort shape: ID
 // format, strategy and channel rotation, outage cadence and per-client
-// seeds. Every fleet pin (the golden JSONL, the BENCH sweep rows, the
+// seeds. Every fleet pin (the golden JSONL, the sweep golden rows, the
 // benchmark digests) is built on it.
 func TestPopulationDefaultCohort(t *testing.T) {
 	strats := []core.Strategy{core.StrategyR, core.StrategyAL}
@@ -46,17 +47,41 @@ func TestPopulationDefaultCohort(t *testing.T) {
 	}
 }
 
+// goodArrivals are -arrival values and the specs they parse to.
+var goodArrivals = []struct {
+	in   string
+	want ArrivalSpec
+}{
+	{"none", ArrivalSpec{Kind: ArriveNone}},
+	{"uniform:0.5", ArrivalSpec{Kind: ArriveUniform, Span: 0.5}},
+	{"diurnal:2", ArrivalSpec{Kind: ArriveDiurnal, Span: 2, Amplitude: 0.9}},
+	{"diurnal:2/0.4", ArrivalSpec{Kind: ArriveDiurnal, Span: 2, Amplitude: 0.4}},
+}
+
+// badArrivals are -arrival values ParseArrival must reject, with a
+// fragment of the error each must give.
+var badArrivals = []struct {
+	in, want string
+}{
+	{"diurnl:0.5", `did you mean "diurnal"`},
+	{"unifrom:1", `did you mean "uniform"`},
+	{"poisson:1", "valid: none, uniform, diurnal"},
+	{"uniform", "needs a span"},
+	{"uniform:-1", "must be a positive"},
+	{"uniform:0.5/0.3", "takes no amplitude"},
+	{"diurnal:1/1.5", "must be in [0, 1]"},
+	{"none:0.5", "takes no parameters"},
+	{"uniform:x", "is not a number"},
+	{"uniform:NaN", "must be a positive"},
+	{"uniform:Inf", "must be a positive"},
+	{"diurnal:NaN", "must be a positive"},
+	{"diurnal:+Inf/0.5", "must be a positive"},
+	{"diurnal:0.5/NaN", "must be in [0, 1]"},
+	{"diurnal:0.5/-Inf", "must be in [0, 1]"},
+}
+
 func TestParseArrival(t *testing.T) {
-	good := []struct {
-		in   string
-		want ArrivalSpec
-	}{
-		{"none", ArrivalSpec{Kind: ArriveNone}},
-		{"uniform:0.5", ArrivalSpec{Kind: ArriveUniform, Span: 0.5}},
-		{"diurnal:2", ArrivalSpec{Kind: ArriveDiurnal, Span: 2, Amplitude: 0.9}},
-		{"diurnal:2/0.4", ArrivalSpec{Kind: ArriveDiurnal, Span: 2, Amplitude: 0.4}},
-	}
-	for _, tc := range good {
+	for _, tc := range goodArrivals {
 		got, err := ParseArrival(tc.in)
 		if err != nil {
 			t.Errorf("ParseArrival(%q): %v", tc.in, err)
@@ -66,19 +91,7 @@ func TestParseArrival(t *testing.T) {
 			t.Errorf("ParseArrival(%q) = %+v, want %+v", tc.in, got, tc.want)
 		}
 	}
-	bad := []struct {
-		in, want string
-	}{
-		{"diurnl:0.5", `did you mean "diurnal"`},
-		{"unifrom:1", `did you mean "uniform"`},
-		{"poisson:1", "valid: none, uniform, diurnal"},
-		{"uniform", "needs a span"},
-		{"uniform:-1", "must be a positive"},
-		{"uniform:0.5/0.3", "takes no amplitude"},
-		{"diurnal:1/1.5", "must be in [0, 1]"},
-		{"none:0.5", "takes no parameters"},
-	}
-	for _, tc := range bad {
+	for _, tc := range badArrivals {
 		_, err := ParseArrival(tc.in)
 		if err == nil {
 			t.Errorf("ParseArrival(%q) accepted a bad value", tc.in)
@@ -88,6 +101,33 @@ func TestParseArrival(t *testing.T) {
 			t.Errorf("ParseArrival(%q) error %q does not contain %q", tc.in, err, tc.want)
 		}
 	}
+}
+
+// FuzzParseArrival: the -arrival parser never panics, and every spec
+// it accepts passes validate with a finite span and draws its
+// arrivals inside that span.
+func FuzzParseArrival(f *testing.F) {
+	for _, tc := range goodArrivals {
+		f.Add(tc.in)
+	}
+	for _, tc := range badArrivals {
+		f.Add(tc.in)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseArrival(s)
+		if err != nil {
+			return
+		}
+		if err := spec.validate(); err != nil {
+			t.Fatalf("ParseArrival(%q) = %+v, which validate rejects: %v", s, spec, err)
+		}
+		if !finite(float64(spec.Span)) {
+			t.Fatalf("ParseArrival(%q) accepted span %g", s, float64(spec.Span))
+		}
+		if at := spec.startTime(7); !(at >= 0 && at <= spec.Span) {
+			t.Fatalf("ParseArrival(%q): arrival %g outside [0, %g]", s, float64(at), float64(spec.Span))
+		}
+	})
 }
 
 func TestParseDrift(t *testing.T) {
@@ -166,24 +206,48 @@ func TestSpecRejectsAmbiguousCohort(t *testing.T) {
 	}
 }
 
-// TestRunRejectsOutOfRangeInputs: population and chaos parameters the
-// channel and fault models cannot take fail Run with an error before
-// any client launches, instead of panicking inside the simulation.
+// TestRunRejectsOutOfRangeInputs: population, chaos and telemetry
+// parameters the models cannot take, NaN and infinities included, fail
+// Run with an error before any client launches, instead of panicking
+// inside the simulation or silently running another spec.
 func TestRunRejectsOutOfRangeInputs(t *testing.T) {
 	w := testWorkload(t)
+	nan, inf := math.NaN(), math.Inf(1)
+	cohort := func(opts ...PopOption) Spec { return Spec{Workload: w, Population: NewPopulation(3, opts...)} }
+	drifting := func(d DriftSpec) Spec { return cohort(WithChannelMix(ChannelDrifting), WithChannelDrift(d)) }
+	arriving := func(a ArrivalSpec) Spec { return cohort(WithArrivalCurve(a)) }
+	faulty := func(c BackendChaos) Spec {
+		spec := cohort()
+		spec.Servers, spec.Chaos = 2, []BackendChaos{c}
+		return spec
+	}
+	ticking := cohort()
+	ticking.Telemetry = &TelemetrySpec{Tick: energy.Seconds(nan)}
 	for _, tc := range []struct {
 		name string
 		spec Spec
 		want string
 	}{
-		{"drift depth", Spec{Workload: w, Population: NewPopulation(3,
-			WithChannelMix(ChannelDrifting), WithChannelDrift(DriftSpec{Depth: 0.9}))},
-			"fleet: channel drift depth 0.9"},
-		{"outage fraction", Spec{Workload: w, Population: NewPopulation(3, WithOutage(1.5, 3, 1))},
-			"fleet: outage fraction 1.5"},
-		{"backend loss rate", Spec{Workload: w, Population: NewPopulation(3),
-			Chaos: []BackendChaos{{LossRate: 1.2}}},
-			"fleet: backend s0: loss rate 1.2"},
+		{"drift depth", drifting(DriftSpec{Depth: 0.9}), "fleet: channel drift depth 0.9"},
+		{"outage fraction", cohort(WithOutage(1.5, 3, 1)), "fleet: outage fraction 1.5"},
+		{"backend loss rate", faulty(BackendChaos{LossRate: 1.2}), "fleet: backend s0: loss rate 1.2"},
+		{"arrival span NaN", arriving(ArrivalSpec{Kind: ArriveUniform, Span: energy.Seconds(nan)}), "fleet: arrival span NaN"},
+		{"arrival span Inf", arriving(ArrivalSpec{Kind: ArriveUniform, Span: energy.Seconds(inf)}), "fleet: arrival span +Inf"},
+		{"arrival amplitude NaN", arriving(ArrivalSpec{Kind: ArriveDiurnal, Span: 0.5, Amplitude: nan}), "fleet: arrival amplitude NaN"},
+		{"drift depth NaN", drifting(DriftSpec{Depth: nan}), "fleet: channel drift depth NaN"},
+		{"drift period NaN", drifting(DriftSpec{Period: nan}), "fleet: channel drift period NaN"},
+		{"drift stay NaN", drifting(DriftSpec{Stay: nan}), "fleet: channel drift stay probability NaN"},
+		{"outage fraction NaN", cohort(WithOutage(nan, 3, 1)), "fleet: outage fraction NaN"},
+		{"outage burst Inf", cohort(WithOutage(0.2, inf, 1)), "fleet: outage burst length +Inf"},
+		{"backend loss rate NaN", faulty(BackendChaos{LossRate: nan}), "fleet: backend s0: loss rate NaN"},
+		{"backend loss burst Inf", faulty(BackendChaos{LossRate: 0.3, LossBurst: inf}), "fleet: backend s0: loss burst +Inf"},
+		{"backend fail time NaN", faulty(BackendChaos{FailAt: energy.Seconds(nan)}), "fleet: backend s0: fail time NaN"},
+		{"backend fail time Inf", faulty(BackendChaos{FailAt: energy.Seconds(inf)}), "fleet: backend s0: fail time +Inf"},
+		{"backend flap down time NaN", faulty(BackendChaos{FlapAt: 0.001, FlapDown: energy.Seconds(nan), FlapEvery: 0.004}),
+			"fleet: backend s0: flap down time NaN"},
+		{"backend brown-out factor NaN", faulty(BackendChaos{BrownoutAt: 0.001, BrownoutFactor: nan}),
+			"fleet: backend s0: brown-out factor NaN"},
+		{"telemetry tick NaN", ticking, "fleet: telemetry tick NaN"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Run(tc.spec)

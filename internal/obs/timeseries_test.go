@@ -183,3 +183,16 @@ func TestHTTPHandlerRoutes(t *testing.T) {
 		t.Error("plain handler should not expose pprof")
 	}
 }
+
+// BenchmarkTimeSeriesAdd is one windowed counter accumulation,
+// including the amortized cost of materializing a new window every
+// 16 adds.
+func BenchmarkTimeSeriesAdd(b *testing.B) {
+	ts := NewTimeSeries(0.0005, 512)
+	name := SeriesName("served", "backend", "s0")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ts.AddIdx(int64(i>>4), name, 1)
+	}
+}
