@@ -7,10 +7,12 @@
 // simulator configured as a five-stage pipeline similar to the
 // microSPARC-IIep, plus DRAM data-sheet numbers.
 //
-// All bookkeeping is done in Joules (float64). The package provides an
+// Energies are reported in Joules (float64). The package provides an
 // Account that attributes energy to system components (processor core,
 // memory, radio transmit/receive, leakage during power-down) so that
-// experiment harnesses can report both totals and breakdowns.
+// experiment harnesses can report both totals and breakdowns. Core and
+// memory energy are kept as integer event counts and priced only when
+// read, so equal work always reads as equal energy, bit for bit.
 package energy
 
 import (
@@ -164,11 +166,6 @@ func (m *CPUModel) LeakagePower() Watts {
 	return Watts(m.LeakageFraction) * m.ActivePower()
 }
 
-// CycleTime is the duration of one core clock cycle.
-func (m *CPUModel) CycleTime() Seconds {
-	return Seconds(1 / m.ClockHz)
-}
-
 // Component identifies where energy was spent, for breakdown reporting.
 type Component int
 
@@ -197,12 +194,20 @@ func (c Component) String() string {
 }
 
 // Account accumulates energy by component and instruction counts by
-// class. Accounts are plain values guarded by their owner; they are not
-// safe for concurrent mutation.
+// class. Core and memory energy are not running sums: the account
+// keeps the instruction counts per Fig 1 class and the DRAM word
+// count, and Component prices them when read. Two runs that execute
+// the same instructions and miss the same lines therefore read the
+// same energy to the last bit, whether their charges arrived in one
+// batch or many, or were replayed from a recorded Delta. Radio,
+// leakage and compile energy are float sums. Accounts are plain values
+// guarded by their owner; they are not safe for concurrent mutation.
 type Account struct {
 	model *CPUModel
 
-	byComponent [NumComponents]Joules
+	// floats holds the float components; its core and memory entries
+	// stay zero.
+	floats      [NumComponents]Joules
 	instrCount  [NumInstrClasses]uint64
 	memAccesses uint64
 
@@ -223,15 +228,13 @@ func (a *Account) Model() *CPUModel { return a.model }
 // the cycle counter by n.
 func (a *Account) AddInstr(c InstrClass, n uint64) {
 	a.instrCount[c] += n
-	a.byComponent[CompCore] += Joules(n) * a.model.PerInstr[c]
 	a.Cycles += n
 }
 
 // InstrCounts is a batch of pending instruction counts by class.
-// Execution loops accumulate into one (plain array increments, no
-// float work per instruction) and commit it with AddInstrCounts once
-// per straight-line segment, instead of calling AddInstr per
-// instruction.
+// Execution loops accumulate into one (plain array increments) and
+// commit it with AddInstrCounts once per straight-line segment,
+// instead of calling AddInstr per instruction.
 type InstrCounts [NumInstrClasses]uint64
 
 // Add records n instructions of class c.
@@ -248,14 +251,11 @@ func (n *InstrCounts) Total() uint64 {
 
 // AddInstrCounts commits a batch of pending counts and zeroes it.
 // Equivalent to calling AddInstr once per class with the accumulated
-// count: per-class totals, cycle counts and component sums match the
-// per-instruction path exactly (energy is charged as count x
-// per-class energy, the same product AddInstr computes).
+// count.
 func (a *Account) AddInstrCounts(n *InstrCounts) {
 	for c := InstrClass(0); c < NumInstrClasses; c++ {
 		if k := n[c]; k != 0 {
 			a.instrCount[c] += k
-			a.byComponent[CompCore] += Joules(k) * a.model.PerInstr[c]
 			a.Cycles += k
 			n[c] = 0
 		}
@@ -266,7 +266,6 @@ func (a *Account) AddInstrCounts(n *InstrCounts) {
 // Stall cycles are added separately by the cache hierarchy.
 func (a *Account) AddMemAccess(n uint64) {
 	a.memAccesses += n
-	a.byComponent[CompMemory] += Joules(n) * a.model.MainMemAccess
 }
 
 // AddStallCycles advances the cycle counter without charging energy
@@ -278,21 +277,26 @@ func (a *Account) AddStallCycles(n uint64) {
 // AddRadio charges e Joules of transmit (tx=true) or receive energy.
 func (a *Account) AddRadio(tx bool, e Joules) {
 	if tx {
-		a.byComponent[CompRadioTx] += e
+		a.floats[CompRadioTx] += e
 	} else {
-		a.byComponent[CompRadioRx] += e
+		a.floats[CompRadioRx] += e
 	}
 }
 
 // AddLeakage charges leakage energy for a power-down interval of
 // duration t.
 func (a *Account) AddLeakage(t Seconds) {
-	a.byComponent[CompLeakage] += Energy(a.model.LeakagePower(), t)
+	a.floats[CompLeakage] += Energy(a.model.LeakagePower(), t)
 }
 
-// AddComponent charges e Joules directly to component c.
+// AddComponent charges e Joules directly to component c, which must be
+// a float component (radio, leakage or compile): core and memory
+// energy come only from counts.
 func (a *Account) AddComponent(c Component, e Joules) {
-	a.byComponent[c] += e
+	if c == CompCore || c == CompMemory {
+		panic(fmt.Sprintf("energy: AddComponent(%v): core and memory energy are charged as counts", c))
+	}
+	a.floats[c] += e
 }
 
 // Total returns the total energy across all components. The compile
@@ -304,13 +308,27 @@ func (a *Account) Total() Joules {
 		if c == CompCompile {
 			continue
 		}
-		sum += a.byComponent[c]
+		sum += a.Component(c)
 	}
 	return sum
 }
 
-// Component returns the energy charged to component c.
-func (a *Account) Component(c Component) Joules { return a.byComponent[c] }
+// Component returns the energy charged to component c. Core energy is
+// the instruction counts priced at the Fig 1 per-class energies, in
+// class order; memory energy is the DRAM word count priced per word.
+func (a *Account) Component(c Component) Joules {
+	switch c {
+	case CompCore:
+		var e Joules
+		for i, n := range a.instrCount {
+			e += Joules(n) * a.model.PerInstr[i]
+		}
+		return e
+	case CompMemory:
+		return Joules(a.memAccesses) * a.model.MainMemAccess
+	}
+	return a.floats[c]
+}
 
 // InstrCount returns the number of instructions of class c charged.
 func (a *Account) InstrCount(c InstrClass) uint64 { return a.instrCount[c] }
@@ -334,14 +352,7 @@ func (a *Account) Time() Seconds {
 
 // AddFrom merges the contents of src into a.
 func (a *Account) AddFrom(src *Account) {
-	for i := range a.byComponent {
-		a.byComponent[i] += src.byComponent[i]
-	}
-	for i := range a.instrCount {
-		a.instrCount[i] += src.instrCount[i]
-	}
-	a.memAccesses += src.memAccesses
-	a.Cycles += src.Cycles
+	a.Apply(src.DeltaSince(Account{}))
 }
 
 // Reset zeroes the account.
@@ -358,11 +369,12 @@ func (a *Account) Since(snap Account) Joules {
 }
 
 // Delta is the difference between two account states: a replayable
-// record of everything one execution charged. Experiment harnesses
-// memoize deltas of deterministic executions and re-apply them instead
-// of re-simulating identical invocations.
+// record of everything one execution charged. Core and memory travel
+// as counts, so applying a Delta leaves an account in exactly the
+// state the recorded charges left it in; Floats carries the float
+// components (its core and memory entries are zero).
 type Delta struct {
-	ByComponent [NumComponents]Joules
+	Floats      [NumComponents]Joules
 	Instr       [NumInstrClasses]uint64
 	MemAccesses uint64
 	Cycles      uint64
@@ -371,8 +383,8 @@ type Delta struct {
 // DeltaSince returns everything charged since the snapshot.
 func (a *Account) DeltaSince(snap Account) Delta {
 	var d Delta
-	for i := range d.ByComponent {
-		d.ByComponent[i] = a.byComponent[i] - snap.byComponent[i]
+	for i := range d.Floats {
+		d.Floats[i] = a.floats[i] - snap.floats[i]
 	}
 	for i := range d.Instr {
 		d.Instr[i] = a.instrCount[i] - snap.instrCount[i]
@@ -384,8 +396,8 @@ func (a *Account) DeltaSince(snap Account) Delta {
 
 // Apply re-charges a recorded delta.
 func (a *Account) Apply(d Delta) {
-	for i := range d.ByComponent {
-		a.byComponent[i] += d.ByComponent[i]
+	for i := range d.Floats {
+		a.floats[i] += d.Floats[i]
 	}
 	for i := range d.Instr {
 		a.instrCount[i] += d.Instr[i]
@@ -402,8 +414,8 @@ func (a *Account) String() string {
 	}
 	rows := make([]row, 0, NumComponents)
 	for c := Component(0); c < NumComponents; c++ {
-		if a.byComponent[c] != 0 {
-			rows = append(rows, row{c, a.byComponent[c]})
+		if e := a.Component(c); e != 0 {
+			rows = append(rows, row{c, e})
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].e > rows[j].e })

@@ -222,3 +222,52 @@ func TestServerSPARCModel(t *testing.T) {
 		t.Errorf("speed ratio = %g, want 7.5", r)
 	}
 }
+
+// Property: core and memory energy depend only on the counts charged,
+// not on how the charges were batched — a replayed Delta reads the
+// same energy, bit for bit, as the many small charges it stands for.
+func TestEnergyIndependentOfBatching(t *testing.T) {
+	m := MicroSPARCIIep()
+	f := func(counts []uint16, words []uint8) bool {
+		many, one := NewAccount(m), NewAccount(m)
+		var batch InstrCounts
+		for i, n := range counts {
+			many.AddInstr(InstrClass(i%int(NumInstrClasses)), uint64(n))
+			batch.Add(InstrClass(i%int(NumInstrClasses)), uint64(n))
+		}
+		var w uint64
+		for _, n := range words {
+			many.AddMemAccess(uint64(n))
+			w += uint64(n)
+		}
+		snap := one.Snapshot()
+		one.AddInstrCounts(&batch)
+		one.AddMemAccess(w)
+		replayed := NewAccount(m)
+		replayed.Apply(one.DeltaSince(snap))
+		for _, a := range []*Account{one, replayed} {
+			if math.Float64bits(float64(a.Total())) != math.Float64bits(float64(many.Total())) ||
+				a.Component(CompCore) != many.Component(CompCore) ||
+				a.Component(CompMemory) != many.Component(CompMemory) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestAddComponentRejectsCountedComponents(t *testing.T) {
+	for _, c := range []Component{CompCore, CompMemory} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddComponent(%v) did not panic", c)
+				}
+			}()
+			NewAccount(MicroSPARCIIep()).AddComponent(c, 1)
+		}()
+	}
+}
