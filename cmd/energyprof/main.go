@@ -16,8 +16,6 @@
 package main
 
 import (
-	"context"
-
 	"flag"
 	"fmt"
 	"io"
@@ -161,12 +159,7 @@ func renderTelemetry(w *os.File, env *experiments.Env, outage, burst float64, ru
 		sizeR := rng.New(seed ^ 0xABCD)
 		for run := 0; run < runs; run++ {
 			size := sizes[sizeR.Intn(len(sizes))]
-			args, err := env.Target.MakeArgs(c.VM, size, rng.New(seed+uint64(size)))
-			if err != nil {
-				return err
-			}
-			c.NewExecution()
-			if _, err := c.Invoke(context.Background(), env.App.Class, env.App.Method, args); err != nil {
+			if err := c.RunExecution(env.Target, size, seed+uint64(size)); err != nil {
 				return err
 			}
 			c.StepChannel()

@@ -6,8 +6,6 @@
 package main
 
 import (
-	"context"
-
 	"fmt"
 	"log"
 	"strings"
@@ -56,12 +54,7 @@ func main() {
 	fmt.Println(" #  channel      size     mode      energy      note")
 	for i := 0; i < 40; i++ {
 		size := sizes[sizeRand.Intn(len(sizes))]
-		args, err := target.MakeArgs(client.VM, size, rng.New(uint64(size)))
-		if err != nil {
-			log.Fatal(err)
-		}
-		client.NewExecution()
-		if _, err := client.Invoke(context.Background(), app.Class, app.Method, args); err != nil {
+		if err := client.RunExecution(target, size, uint64(size)); err != nil {
 			log.Fatal(err)
 		}
 		rec := trace.Records[len(trace.Records)-1]
@@ -99,9 +92,7 @@ func main() {
 		sr := rng.New(99)
 		for i := 0; i < 40; i++ {
 			size := sizes[sr.Intn(len(sizes))]
-			args, _ := target.MakeArgs(cl.VM, size, rng.New(uint64(size)))
-			cl.NewExecution()
-			if _, err := cl.Invoke(context.Background(), app.Class, app.Method, args); err != nil {
+			if err := cl.RunExecution(target, size, uint64(size)); err != nil {
 				log.Fatal(err)
 			}
 			cl.StepChannel()

@@ -87,6 +87,9 @@ type Client struct {
 
 	targets  map[*bytecode.Method]*Target
 	profiles map[*bytecode.Method]*Profile
+	// inputs holds every input this client has executed on, built once
+	// and restored by copy at each later RunExecution.
+	inputs   map[inputKey]*execInput
 	plans    map[*bytecode.Method][]*bytecode.Method
 	inFlight map[*bytecode.Method]bool
 
@@ -149,11 +152,74 @@ func (c *Client) Energy() energy.Joules { return c.VM.Acct.Total() }
 // reloaded, so compiled bodies must be re-linked (their energy is
 // charged again) and the compiler classes re-initialized. The policy
 // resets its per-execution amortization state; device-level state
-// (EWMA predictions, the pilot tracker) persists.
+// (EWMA predictions, the pilot tracker) persists. RunExecution starts
+// every execution this way; callers that drive Invoke themselves call
+// it between executions.
 func (c *Client) NewExecution() {
 	c.Exec.NewExecution()
 	c.Policy.NewExecution()
 	c.VM.Hier.Flush()
+}
+
+// inputKey names one execution input: the entry method, and the size
+// and seed the target's MakeArgs builds its arguments from.
+type inputKey struct {
+	m    *bytecode.Method
+	size int
+	seed uint64
+}
+
+// execInput is a built input: the heap holding it and the argument
+// slots that point into that heap.
+type execInput struct {
+	img  *vm.HeapImage
+	args []vm.Slot
+}
+
+// RunExecution runs one application execution: the registered target
+// t invoked on the input its MakeArgs builds for (size, seed), with the
+// result discarded. Every execution starts from one canonical state:
+// classes reloaded (NewExecution), a heap holding exactly the input as
+// MakeArgs leaves it on an empty heap, a fresh frame stack, and caches
+// flushed after the input is in place. Building the input is the
+// driver's work, not the handset's: it never reaches the account. The
+// client builds each input once and restores it by copy afterwards, so
+// the runs a later execution makes on it cannot leak into the next.
+// Callers that read results use Invoke instead.
+func (c *Client) RunExecution(t *Target, size int, seed uint64) error {
+	m := c.Prog.FindMethod(t.Class, t.Method)
+	if m == nil || c.targets[m] == nil {
+		return fmt.Errorf("core: %s is not registered", t.QName())
+	}
+	in, err := c.input(t, inputKey{m: m, size: size, seed: seed})
+	if err != nil {
+		return err
+	}
+	c.NewExecution()
+	c.VM.ResetRun(in.img)
+	_, err = c.VM.Invoke(m, in.args)
+	return err
+}
+
+// input returns the built input for k, building it on an empty heap
+// the first time with the account's charges rolled back.
+func (c *Client) input(t *Target, k inputKey) (*execInput, error) {
+	if in := c.inputs[k]; in != nil {
+		return in, nil
+	}
+	c.VM.ResetRun(nil)
+	acct := c.VM.Acct.Snapshot()
+	args, err := t.MakeArgs(c.VM, k.size, rng.New(k.seed))
+	*c.VM.Acct = acct
+	if err != nil {
+		return nil, err
+	}
+	in := &execInput{img: c.VM.Heap.Snapshot(), args: args}
+	if c.inputs == nil {
+		c.inputs = map[inputKey]*execInput{}
+	}
+	c.inputs[k] = in
+	return in, nil
 }
 
 // hook intercepts invocations of potential methods (the paper's
@@ -255,13 +321,6 @@ func (c *Client) SyncStats() { c.Stats.Radio = c.Link.Telemetry() }
 
 // StepChannel advances the channel process (between invocations).
 func (c *Client) StepChannel() { c.Link.StepChannel() }
-
-// ResetRun clears per-execution VM state while keeping compiled code,
-// adaptive state and accumulated energy (an application execution
-// boundary within a scenario).
-func (c *Client) ResetRun() {
-	c.VM.ResetRun(true)
-}
 
 // --- Circuit breaker integration ---
 

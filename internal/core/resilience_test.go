@@ -257,7 +257,7 @@ func TestAllStrategiesSurviveBurstOutage(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v run %d: %v", s, i, err)
 			}
-			ref.ResetRun(true)
+			ref.ResetRun(nil)
 			want, err := ref.InvokeByName("App", "work", []vm.Slot{vm.IntSlot(n)})
 			if err != nil {
 				t.Fatal(err)

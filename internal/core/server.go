@@ -234,7 +234,7 @@ func (s *Server) Execute(ctx context.Context, clientID, class, method string, ar
 // run executes m on the server VM from a fresh heap, flushed caches
 // and a zero account. Callers hold s.mu.
 func (s *Server) run(m *bytecode.Method, argBytes []byte) (replayEntry, error) {
-	s.vm.ResetRun(true)
+	s.vm.ResetRun(nil)
 	s.vm.Acct.Reset()
 	args, err := s.vm.Heap.DecodeArgs(m, argBytes)
 	if err != nil {

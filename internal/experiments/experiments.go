@@ -7,8 +7,6 @@
 package experiments
 
 import (
-	"context"
-
 	"fmt"
 
 	"greenvm/internal/apps"
@@ -16,8 +14,6 @@ import (
 	"greenvm/internal/core"
 	"greenvm/internal/energy"
 	"greenvm/internal/radio"
-	"greenvm/internal/rng"
-	"greenvm/internal/vm"
 )
 
 // Env is a prepared application: program, profile, target. Preparing
@@ -101,49 +97,12 @@ func (e *Env) newClient(strategy core.Strategy, ch radio.Channel, seed uint64) (
 	return c, nil
 }
 
-// runOnceOn executes one invocation of the app on the client with an
-// input of the given size, excluding input-construction energy, and
-// returns the energy and time deltas.
+// runOnceOn runs one application execution on the client with an
+// input of the given size and returns its energy and time.
 func (e *Env) runOnceOn(c *core.Client, size int, seed uint64) (energy.Joules, energy.Seconds, error) {
-	args, err := e.Target.MakeArgs(c.VM, size, rng.New(inputSeed(e.App.Name, size, seed)))
-	if err != nil {
-		return 0, 0, err
-	}
-	c.VM.Hier.Flush()
 	e0, t0 := c.Energy(), c.Clock
-	if _, err := c.Invoke(context.Background(), e.App.Class, e.App.Method, args); err != nil {
+	if err := c.RunExecution(e.Target, size, inputSeed(e.App.Name, size, seed)); err != nil {
 		return 0, 0, err
 	}
 	return c.Energy() - e0, c.Clock - t0, nil
-}
-
-// Scenario argument cache: inputs are fixed per size, so repeated
-// invocations reuse both the heap objects and the memoized execution.
-type argCache struct {
-	env  *Env
-	c    *core.Client
-	seed uint64
-	args map[int][]vm.Slot
-	// Construction is the energy spent building inputs, excluded from
-	// scenario totals (it is the driver's work, identical across
-	// strategies).
-	Construction energy.Joules
-}
-
-func newArgCache(env *Env, c *core.Client, seed uint64) *argCache {
-	return &argCache{env: env, c: c, seed: seed, args: map[int][]vm.Slot{}}
-}
-
-func (ac *argCache) get(size int) ([]vm.Slot, error) {
-	if a, ok := ac.args[size]; ok {
-		return a, nil
-	}
-	e0 := ac.c.Energy()
-	a, err := ac.env.Target.MakeArgs(ac.c.VM, size, rng.New(inputSeed(ac.env.App.Name, size, ac.seed)))
-	if err != nil {
-		return nil, err
-	}
-	ac.Construction += ac.c.Energy() - e0
-	ac.args[size] = a
-	return a, nil
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-
 	"fmt"
 	"io"
 
@@ -33,32 +31,25 @@ type MarkovPoint struct {
 }
 
 // driveScenario runs the given number of fresh application executions
-// on a wired client with uniformly drawn sizes and returns total
-// energy minus input construction.
+// on a wired client with uniformly drawn sizes and returns the total
+// energy.
 func driveScenario(env *Env, client *core.Client, runs int, seed uint64) (float64, error) {
 	client.Memo = core.NewMemo()
 	sizes := env.App.ScenarioSizes
 	sizeR := rng.New(seed ^ 0xABCD)
-	cache := newArgCache(env, client, seed)
 	for run := 0; run < runs; run++ {
 		size := sizes[sizeR.Intn(len(sizes))]
-		args, err := cache.get(size)
-		if err != nil {
-			return 0, err
-		}
-		client.NewExecution()
 		client.MemoInputKey = uint64(size)
-		if _, err := client.Invoke(context.Background(), env.App.Class, env.App.Method, args); err != nil {
+		if err := client.RunExecution(env.Target, size, inputSeed(env.App.Name, size, seed)); err != nil {
 			return 0, err
 		}
 		client.StepChannel()
 	}
-	return float64(client.Energy() - cache.Construction), nil
+	return float64(client.Energy()), nil
 }
 
 // runSequence executes n fresh application executions with the given
-// channel under a strategy and returns total energy minus input
-// construction.
+// channel under a strategy and returns the total energy.
 func runSequence(env *Env, strategy core.Strategy, ch radio.Channel, runs int, seed uint64) (float64, [core.NumModes]int, error) {
 	client, err := env.newClient(strategy, ch, seed)
 	if err != nil {

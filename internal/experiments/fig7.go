@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-
 	"fmt"
 	"io"
 
@@ -112,20 +110,14 @@ func runScenarioWith(env *Env, sit Situation, strategy core.Strategy, runs int, 
 	sizes := env.App.ScenarioSizes
 	weights := sit.sizeWeights(len(sizes))
 	sizeR := rng.New(seed ^ 0xBEEF)
-	cache := newArgCache(env, client, seed)
 
 	for run := 0; run < runs; run++ {
 		size := sizes[sizeR.Pick(weights)]
-		args, err := cache.get(size)
-		if err != nil {
-			return Fig7Cell{}, err
-		}
 		// Each run is a fresh application execution: classes reload,
 		// so any compilation is paid again (Fig 6 includes it for a
 		// single execution; Fig 7 scenarios repeat that 300 times).
-		client.NewExecution()
 		client.MemoInputKey = uint64(size)
-		if _, err := client.Invoke(context.Background(), env.App.Class, env.App.Method, args); err != nil {
+		if err := client.RunExecution(env.Target, size, inputSeed(env.App.Name, size, seed)); err != nil {
 			return Fig7Cell{}, fmt.Errorf("%s/%v/%v run %d: %w", env.App.Name, sit, strategy, run, err)
 		}
 		client.StepChannel()
@@ -134,7 +126,7 @@ func runScenarioWith(env *Env, sit Situation, strategy core.Strategy, runs int, 
 	// exchange would otherwise never be reflected there.
 	client.SyncStats()
 	return Fig7Cell{
-		Energy:     client.Energy() - cache.Construction,
+		Energy:     client.Energy(),
 		Time:       client.Clock,
 		ModeCounts: client.Stats.ModeCounts,
 		Fallbacks:  client.Stats.Fallbacks,

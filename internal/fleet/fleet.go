@@ -17,7 +17,6 @@
 package fleet
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -529,15 +528,10 @@ func runClient(c *core.Client, w Workload, cs ClientSpec, start energy.Seconds, 
 	}
 	sizeR := rng.New(mix(cs.Seed, 0x51))
 	for run := 0; run < cs.Executions; run++ {
-		c.NewExecution()
 		size := sizes[sizeR.Intn(len(sizes))]
 		// Inputs are fixed per (workload, size): identical offloads
 		// from repeated sizes exercise the session caches.
-		args, err := w.Target.MakeArgs(c.VM, size, rng.New(inputSeed(w.Name, size)))
-		if err != nil {
-			return err
-		}
-		if _, err := c.Invoke(context.Background(), w.Target.Class, w.Target.Method, args); err != nil {
+		if err := c.RunExecution(w.Target, size, inputSeed(w.Name, size)); err != nil {
 			return err
 		}
 		c.StepChannel()

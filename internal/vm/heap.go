@@ -64,7 +64,7 @@ const objHeaderBytes = 8
 
 // Heap is a bump-allocated object heap. The simulated device never
 // garbage-collects during the short method executions we model; Reset
-// reclaims everything between runs.
+// reclaims everything between runs, and Restore puts back a Snapshot.
 type Heap struct {
 	prog    *bytecode.Program
 	hier    *mem.Hierarchy
@@ -89,6 +89,66 @@ func NewHeap(prog *bytecode.Program, hier *mem.Hierarchy) *Heap {
 func (h *Heap) Reset() {
 	h.objects = h.objects[:0]
 	h.alloc.Reset()
+}
+
+// HeapImage is a frozen copy of a heap: every object under its handle,
+// with its address and contents, and the allocator position after
+// them. Snapshot takes one and Restore puts it back. An image shares
+// no memory with any heap, so the writes a run makes to restored
+// objects never reach the image or the next Restore.
+type HeapImage struct {
+	objects []Object
+	alloc   mem.Allocator
+}
+
+// Snapshot returns an image of the heap's current contents. It charges
+// nothing.
+func (h *Heap) Snapshot() *HeapImage {
+	img := &HeapImage{objects: make([]Object, len(h.objects)), alloc: *h.alloc}
+	for i, o := range h.objects {
+		img.objects[i] = *o
+		img.objects[i].I = append([]int64(nil), o.I...)
+		img.objects[i].F = append([]float64(nil), o.F...)
+	}
+	return img
+}
+
+// Restore makes the heap hold exactly the image's objects, under the
+// image's handles and addresses, and moves the allocator back to where
+// the image left it: the next allocation lands where it would have
+// landed right after the image was taken. It charges nothing. Objects
+// the previous run left at the image's handles are reused when their
+// shape matches, so restoring one image run after run allocates
+// nothing.
+func (h *Heap) Restore(img *HeapImage) {
+	for i := range img.objects {
+		src := &img.objects[i]
+		if i < len(h.objects) {
+			if o := h.objects[i]; len(o.I) == len(src.I) && len(o.F) == len(src.F) {
+				is, fs := o.I, o.F
+				*o = *src
+				o.I, o.F = is, fs
+				copy(o.I, src.I)
+				copy(o.F, src.F)
+				continue
+			}
+		}
+		o := *src
+		o.I = append([]int64(nil), src.I...)
+		o.F = append([]float64(nil), src.F...)
+		if i < len(h.objects) {
+			h.objects[i] = &o
+		} else {
+			h.objects = append(h.objects, &o)
+		}
+	}
+	if n := len(img.objects); n < len(h.objects) {
+		// Drop the previous run's own objects so they can be collected.
+		clear(h.objects[n:])
+		h.objects = h.objects[:n]
+	}
+	*h.alloc = img.alloc
+	h.dt = mem.LineTracker{}
 }
 
 // Count returns the number of live objects.

@@ -313,6 +313,48 @@ func TestChargeSerialization(t *testing.T) {
 	}
 }
 
+// randomGraph builds a randomly shaped object graph on v's heap: 1 to
+// 24 Node instances with int payloads and next pointers wired
+// arbitrarily (cycles, sharing, nulls), then a ref array of n elements
+// pointing into the graph. It returns the array's handle and n.
+func randomGraph(t *testing.T, v *VM, r *rng.RNG) (int64, int) {
+	t.Helper()
+	nc := v.Prog.Class("Node")
+	valSlot := nc.FieldSlot("val").Slot
+	nextSlot := nc.FieldSlot("next").Slot
+	n := 1 + r.Intn(24)
+	nodes := make([]int64, n)
+	for i := range nodes {
+		h, err := v.Heap.NewObject(int32(nc.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = h
+		if err := v.Heap.SetFieldI(h, valSlot, int64(r.Intn(1<<20))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Random next-pointers: null 1/4 of the time, else any node
+	// (cycles and sharing arise naturally).
+	for _, h := range nodes {
+		if r.Intn(4) != 0 {
+			if err := v.Heap.SetFieldI(h, nextSlot, nodes[r.Intn(n)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	arr, err := v.Heap.NewArray(bytecode.ElemRef, int64(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := v.Heap.SetElemI(arr, int64(i), nodes[r.Intn(n)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return arr, n
+}
+
 // TestSerializeRandomGraphs round-trips randomly shaped object graphs:
 // nodes with ref fields wired arbitrarily (cycles, sharing, nulls) and
 // int payloads, plus ref arrays pointing into the graph.
@@ -327,37 +369,7 @@ func TestSerializeRandomGraphs(t *testing.T) {
 		r := rng.New(seed)
 		v := New(p, energy.MicroSPARCIIep())
 		w := New(p, energy.MicroSPARCIIep())
-
-		n := 1 + r.Intn(24)
-		nodes := make([]int64, n)
-		for i := range nodes {
-			h, err := v.Heap.NewObject(int32(nc.ID))
-			if err != nil {
-				t.Fatal(err)
-			}
-			nodes[i] = h
-			if err := v.Heap.SetFieldI(h, valSlot, int64(r.Intn(1<<20))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Random next-pointers: null 1/4 of the time, else any node
-		// (cycles and sharing arise naturally).
-		for _, h := range nodes {
-			if r.Intn(4) != 0 {
-				if err := v.Heap.SetFieldI(h, nextSlot, nodes[r.Intn(n)]); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		arr, err := v.Heap.NewArray(bytecode.ElemRef, int64(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if err := v.Heap.SetElemI(arr, int64(i), nodes[r.Intn(n)]); err != nil {
-				t.Fatal(err)
-			}
-		}
+		arr, n := randomGraph(t, v, r)
 
 		b, err := v.Heap.SerializeGraph(arr)
 		if err != nil {

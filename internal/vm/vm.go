@@ -114,11 +114,16 @@ func New(prog *bytecode.Program, model *energy.CPUModel) *VM {
 // Steps returns the executed bytecode + native instruction count.
 func (v *VM) Steps() uint64 { return v.steps + v.Mach.Steps }
 
-// ResetRun clears per-run state (heap, step counters, frame stack) but
-// keeps caches warm or cold according to flushCaches. Accounts are the
-// caller's to reset.
-func (v *VM) ResetRun(flushCaches bool) {
-	v.Heap.Reset()
+// ResetRun puts the VM in the state a run starts from: the heap holds
+// exactly img's objects (none when img is nil), the step counters and
+// frame stack are cleared, and both caches are flushed. Compiled code
+// and bytecode placement are kept. Accounts are the caller's to reset.
+func (v *VM) ResetRun(img *HeapImage) {
+	if img == nil {
+		v.Heap.Reset()
+	} else {
+		v.Heap.Restore(img)
+	}
 	v.steps = 0
 	v.Mach.Steps = 0
 	v.sp = mem.StackBase
@@ -127,9 +132,7 @@ func (v *VM) ResetRun(flushCaches bool) {
 	v.slotTop = 0
 	v.argTop = 0
 	v.regITop, v.regFTop = 0, 0
-	if flushCaches {
-		v.Hier.Flush()
-	}
+	v.Hier.Flush()
 }
 
 // InstallCode assigns a code address to a compiled body so that its

@@ -394,7 +394,7 @@ func TestResetRun(t *testing.T) {
 	if v.Heap.Count() == 0 {
 		t.Fatal("expected live objects")
 	}
-	v.ResetRun(true)
+	v.ResetRun(nil)
 	if v.Heap.Count() != 0 || v.Steps() != 0 {
 		t.Error("ResetRun did not clear state")
 	}
