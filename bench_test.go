@@ -284,12 +284,14 @@ func BenchmarkAblationOptLevels(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMemo quantifies the scenario-replay cache: 15
-// identical executions with and without memoized replay. The memoized
-// variant must charge the same energy while simulating far less.
+// BenchmarkAblationMemo quantifies handset replay: 15 executions of
+// one input through RunExecution, which replays every repeat, and
+// through Invoke from the same canonical state, which simulates every
+// run. Both must charge the same energy.
 func BenchmarkAblationMemo(b *testing.B) {
 	fe, _ := preparedEnvs(b)
-	scenario := func(memo bool) (energy.Joules, error) {
+	const seed = 3
+	scenario := func(replay bool) (energy.Joules, error) {
 		server := core.NewServer(fe.Prog)
 		client := core.New(core.ClientConfig{
 			ID: "bench", Prog: fe.Prog, Server: server,
@@ -298,37 +300,50 @@ func BenchmarkAblationMemo(b *testing.B) {
 		if err := client.Register(fe.Target, fe.Prof); err != nil {
 			return 0, err
 		}
-		if memo {
-			client.Memo = core.NewMemo()
-			client.MemoInputKey = 1
+		if replay {
+			for run := 0; run < 15; run++ {
+				if err := client.RunExecution(fe.Target, fe.App.SmallSize, seed); err != nil {
+					return 0, err
+				}
+			}
+			return client.Energy(), nil
 		}
-		args, err := fe.Target.MakeArgs(client.VM, fe.App.SmallSize, rng.New(3))
+		acct := client.VM.Acct.Snapshot()
+		args, err := fe.Target.MakeArgs(client.VM, fe.App.SmallSize, rng.New(seed))
 		if err != nil {
 			return 0, err
 		}
+		*client.VM.Acct = acct
+		img := client.VM.Heap.Snapshot()
 		for run := 0; run < 15; run++ {
 			client.NewExecution()
+			client.VM.ResetRun(img)
 			if _, err := client.Invoke(context.Background(), fe.App.Class, fe.App.Method, args); err != nil {
 				return 0, err
 			}
 		}
 		return client.Energy(), nil
 	}
-	for _, memo := range []bool{true, false} {
+	energies := map[bool]energy.Joules{}
+	for _, replay := range []bool{true, false} {
 		name := "memo"
-		if !memo {
+		if !replay {
 			name = "nomemo"
 		}
 		b.Run(name, func(b *testing.B) {
 			var e energy.Joules
 			for i := 0; i < b.N; i++ {
 				var err error
-				if e, err = scenario(memo); err != nil {
+				if e, err = scenario(replay); err != nil {
 					b.Fatal(err)
 				}
 			}
+			energies[replay] = e
 			b.ReportMetric(float64(e)*1e3, "mJ/scenario")
 		})
+	}
+	if energies[true] != energies[false] {
+		b.Errorf("replayed scenario charged %v, simulated %v", energies[true], energies[false])
 	}
 }
 

@@ -79,19 +79,18 @@ type Client struct {
 	// Clock is the client's virtual wall time.
 	Clock energy.Seconds
 
-	// Memo, when set, replays previously simulated executions; the
-	// driver must set MemoInputKey to identify the current input and
-	// must not consume results of replayed invocations.
-	Memo         *Memo
-	MemoInputKey uint64
-
 	targets  map[*bytecode.Method]*Target
 	profiles map[*bytecode.Method]*Profile
-	// inputs holds every input this client has executed on, built once
-	// and restored by copy at each later RunExecution.
-	inputs   map[inputKey]*execInput
 	plans    map[*bytecode.Method][]*bytecode.Method
 	inFlight map[*bytecode.Method]bool
+
+	// inputs holds every input this client has executed on, built once
+	// and restored by copy at each later RunExecution. entry is the
+	// input of the RunExecution in flight (nil outside one), and
+	// replays the handset replay memo (see memo.go).
+	inputs  map[inputKey]*execInput
+	entry   *inputKey
+	replays map[runKey]energy.Delta
 
 	lastAcctTime energy.Seconds
 	r            *rng.RNG
@@ -185,18 +184,23 @@ type execInput struct {
 // driver's work, not the handset's: it never reaches the account. The
 // client builds each input once and restores it by copy afterwards, so
 // the runs a later execution makes on it cannot leak into the next.
-// Callers that read results use Invoke instead.
+// A local run of the entry invocation that repeats one this client
+// already ran is replayed from its recorded charges (see memo.go).
+// Callers that read results use Invoke, which never replays.
 func (c *Client) RunExecution(t *Target, size int, seed uint64) error {
 	m := c.Prog.FindMethod(t.Class, t.Method)
 	if m == nil || c.targets[m] == nil {
 		return fmt.Errorf("core: %s is not registered", t.QName())
 	}
-	in, err := c.input(t, inputKey{m: m, size: size, seed: seed})
+	k := inputKey{m: m, size: size, seed: seed}
+	in, err := c.input(t, k)
 	if err != nil {
 		return err
 	}
 	c.NewExecution()
 	c.VM.ResetRun(in.img)
+	c.entry = &k
+	defer func() { c.entry = nil }()
 	_, err = c.VM.Invoke(m, in.args)
 	return err
 }

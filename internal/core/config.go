@@ -13,7 +13,7 @@ import (
 // Fault models, extra sinks and breaker tuning are applied through
 // functional options, so call sites name what they change instead of
 // threading positional arguments; the remaining knobs (retry budget,
-// loss timeout, memo, policy) are exported Client fields.
+// loss timeout, policy) are exported Client fields.
 type ClientConfig struct {
 	// ID identifies the client to the server (the mobile status table
 	// and the session layer key on it).

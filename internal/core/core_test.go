@@ -418,57 +418,69 @@ func TestDeterministicScenario(t *testing.T) {
 	}
 }
 
-// TestMemoReplayMatchesReal verifies that replaying a memoized
-// invocation charges the same energy as re-simulating it.
+// TestMemoReplayMatchesReal: replaying a recorded local run charges
+// exactly what simulating it again charges. Energy and time are
+// bit-identical with replay on and off over repeated executions of two
+// heap inputs, for local strategies and for offloading ones on a lossy
+// link, whose fallbacks run locally too.
 func TestMemoReplayMatchesReal(t *testing.T) {
-	for _, s := range []Strategy{StrategyL2, StrategyI, StrategyR} {
+	for _, s := range []Strategy{StrategyI, StrategyL2, StrategyR, StrategyAL, StrategyAA} {
 		p := testProgram(t)
-		run := func(useMemo bool) float64 {
-			c := newTestClient(t, p, s, radio.Fixed{Cls: radio.Class4}, workTarget())
-			if useMemo {
-				c.Memo = NewMemo()
-				c.MemoInputKey = 1
-			}
-			args := []vm.Slot{vm.IntSlot(250)}
-			for i := 0; i < 5; i++ {
-				c.VM.Hier.Flush()
-				if _, err := c.Invoke(context.Background(), "App", "work", args); err != nil {
+		run := func(replay bool) (energy.Joules, energy.Seconds, int) {
+			defer SetReplay(SetReplay(replay))
+			tg := vecsumTarget()
+			c := newTestClient(t, p, s, radio.UniformChannel(rng.New(3)), tg)
+			c.Link.Fault = radio.NewGilbertElliott(0.3, 3)
+			for i := 0; i < 12; i++ {
+				if err := c.RunExecution(tg, []int{64, 256}[i%2], 7); err != nil {
 					t.Fatal(err)
 				}
+				c.StepChannel()
 			}
-			return float64(c.Energy())
+			return c.Energy(), c.Clock, c.Stats.MemoHits
 		}
-		real, memo := run(false), run(true)
-		rel := math.Abs(real-memo) / real
-		if rel > 0.01 {
-			t.Errorf("%v: memoized energy %g differs from real %g by %.3f%%", s, memo, real, rel*100)
+		eOn, tOn, hits := run(true)
+		eOff, tOff, offHits := run(false)
+		if math.Float64bits(float64(eOn)) != math.Float64bits(float64(eOff)) ||
+			math.Float64bits(float64(tOn)) != math.Float64bits(float64(tOff)) {
+			t.Errorf("%v: replay on %v over %v s, off %v over %v s", s, eOn, tOn, eOff, tOff)
+		}
+		if offHits != 0 {
+			t.Errorf("%v: %d replays with replay off", s, offHits)
+		}
+		if s != StrategyR && hits == 0 {
+			t.Errorf("%v: no run was replayed", s)
 		}
 	}
 }
 
 func TestMemoCountsHits(t *testing.T) {
 	p := testProgram(t)
-	c := newTestClient(t, p, StrategyI, radio.Fixed{Cls: radio.Class4}, workTarget())
-	c.Memo = NewMemo()
-	c.MemoInputKey = 7
-	args := []vm.Slot{vm.IntSlot(100)}
-	for i := 0; i < 3; i++ {
-		if _, err := c.Invoke(context.Background(), "App", "work", args); err != nil {
+	tg := workTarget()
+	c := newTestClient(t, p, StrategyI, radio.Fixed{Cls: radio.Class4}, tg)
+	exec := func(size int, seed uint64) {
+		t.Helper()
+		if err := c.RunExecution(tg, size, seed); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for i := 0; i < 3; i++ {
+		exec(100, 7)
 	}
 	if c.Stats.MemoHits != 2 {
 		t.Errorf("MemoHits = %d, want 2", c.Stats.MemoHits)
 	}
-	if c.Memo.Size() != 1 {
-		t.Errorf("memo size = %d, want 1", c.Memo.Size())
-	}
-	// A different input key re-measures.
-	c.MemoInputKey = 8
-	if _, err := c.Invoke(context.Background(), "App", "work", args); err != nil {
+	// Another size or input seed runs for real, and so does Invoke.
+	exec(100, 8)
+	exec(120, 7)
+	if _, err := c.Invoke(context.Background(), "App", "work", []vm.Slot{vm.IntSlot(100)}); err != nil {
 		t.Fatal(err)
 	}
-	if c.Memo.Size() != 2 {
-		t.Errorf("memo size = %d, want 2", c.Memo.Size())
+	if c.Stats.MemoHits != 2 {
+		t.Errorf("MemoHits = %d after new inputs and Invoke, want 2", c.Stats.MemoHits)
+	}
+	exec(100, 8)
+	if c.Stats.MemoHits != 3 {
+		t.Errorf("MemoHits = %d, want 3", c.Stats.MemoHits)
 	}
 }

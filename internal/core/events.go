@@ -35,8 +35,8 @@ const (
 	EvRemoteCompile
 	// EvEvict is one body unlinked by the code cache's LRU policy.
 	EvEvict
-	// EvMemoHit is one invocation replayed from the memo instead of
-	// re-simulated.
+	// EvMemoHit is one local run of an execution's entry invocation
+	// replayed from the client's memo instead of re-simulated.
 	EvMemoHit
 	// EvRetry is one re-attempted remote exchange after a loss (its
 	// backoff listen is already charged when it is emitted).

@@ -94,28 +94,30 @@ func (x *Executor) Run(mode Mode, m *bytecode.Method, t *Target, size float64, a
 	}
 	c.syncClock()
 	start := c.Clock
-	key := memoKey{method: m.QName(), mode: mode, inputKey: c.MemoInputKey}
-	if c.Memo != nil {
-		if d, ok := c.Memo.local[key]; ok {
-			c.VM.Acct.Apply(d)
-			c.Events.Emit(Event{Kind: EvMemoHit, Method: m, Mode: mode, At: c.Clock})
-			c.syncClock()
-			x.emitLocalPhase(m, mode, start)
-			return vm.Slot{}, false, nil
-		}
+	key, replayable := c.replayKey(m, mode)
+	if d, ok := c.replays[key]; replayable && ok {
+		c.VM.Acct.Apply(d)
+		c.Events.Emit(Event{Kind: EvMemoHit, Method: m, Mode: mode, At: c.Clock})
+		c.syncClock()
+		x.emitLocalPhase(m, mode, start)
+		return vm.Slot{}, false, nil
 	}
 	snap := c.VM.Acct.Snapshot()
 	x.levelStack = append(x.levelStack, levelOf(mode))
 	res, err := c.VM.Invoke(m, args)
 	x.levelStack = x.levelStack[:len(x.levelStack)-1]
-	if c.Memo != nil && err == nil {
-		c.Memo.local[key] = c.VM.Acct.DeltaSince(snap)
+	if err != nil {
+		return res, false, err
 	}
-	if err == nil {
-		c.syncClock()
-		x.emitLocalPhase(m, mode, start)
+	if replayable {
+		if c.replays == nil {
+			c.replays = map[runKey]energy.Delta{}
+		}
+		c.replays[key] = c.VM.Acct.DeltaSince(snap)
 	}
-	return res, false, err
+	c.syncClock()
+	x.emitLocalPhase(m, mode, start)
+	return res, false, nil
 }
 
 // emitLocalPhase emits the interpret/native timeline span of one
@@ -238,13 +240,6 @@ func (x *Executor) remoteExecute(m *bytecode.Method, t *Target, size float64, ar
 			At: shipStart, Time: c.Clock - shipStart, FellBack: err != nil})
 	}()
 	prof := c.profiles[m]
-	key := memoKey{method: m.QName(), mode: ModeRemote, inputKey: c.MemoInputKey}
-	if c.Memo != nil {
-		if ent, ok := c.Memo.remote[key]; ok {
-			c.Events.Emit(Event{Kind: EvMemoHit, Method: m, Mode: ModeRemote, At: c.Clock})
-			return x.replayRemote(prof, size, ent)
-		}
-	}
 	argBytes, err := c.VM.Heap.EncodeArgs(m, args)
 	if err != nil {
 		return vm.Slot{}, err
@@ -313,60 +308,12 @@ func (x *Executor) remoteExecute(m *bytecode.Method, t *Target, size float64, ar
 	}
 
 	c.VM.ChargeSerialization(len(resBytes))
-	deserSnap := c.VM.Acct.Snapshot()
 	res, err = c.VM.Heap.DecodeValue(m.Ret.Kind, resBytes)
 	if err != nil {
 		return vm.Slot{}, err
 	}
-	if c.Memo != nil {
-		c.Memo.remote[key] = remoteEntry{
-			txBytes:    len(argBytes),
-			rxBytes:    len(resBytes),
-			servTime:   servTime,
-			deserDelta: c.VM.Acct.DeltaSince(deserSnap),
-		}
-	}
 	c.syncClock()
 	return res, nil
-}
-
-// replayRemote re-prices a previously executed offload from its
-// recorded byte counts and server time; transmit energy reflects the
-// channel condition of this run, not the recorded one.
-func (x *Executor) replayRemote(prof *Profile, size float64, ent remoteEntry) (vm.Slot, error) {
-	c := x.c
-	c.VM.ChargeSerialization(ent.txBytes)
-	c.syncClock()
-	tTx, err := c.Link.Send(ent.txBytes)
-	c.Clock += tTx
-	if err != nil {
-		return vm.Slot{}, err
-	}
-
-	estServ := energy.Seconds(prof.ServerTime.Eval(size))
-	if estServ < 0 {
-		estServ = 0
-	}
-	sleep := estServ
-	if ent.servTime > sleep {
-		c.Link.Listen(ent.servTime - sleep)
-	}
-	c.VM.Acct.AddLeakage(sleep)
-	elapsed := sleep
-	if ent.servTime > elapsed {
-		elapsed = ent.servTime
-	}
-	c.Clock += elapsed
-
-	tRx, err := c.Link.Recv(ent.rxBytes)
-	c.Clock += tRx
-	if err != nil {
-		return vm.Slot{}, err
-	}
-	c.VM.ChargeSerialization(ent.rxBytes)
-	c.VM.Acct.Apply(ent.deserDelta)
-	c.syncClock()
-	return vm.Slot{}, nil
 }
 
 // ensurePlanCompiled makes every method of m's plan executable at the

@@ -37,6 +37,15 @@ func (p *Profiler) MeasureProfilePoints(t *Target, sizes []int) ([]ProfilePoint,
 	return pts, nil
 }
 
+// SetReplay switches handset replay on or off for every client and
+// returns the previous setting; the replay oracle tests compare runs
+// with it on and off.
+func SetReplay(on bool) bool {
+	prev := !replayOff
+	replayOff = !on
+	return prev
+}
+
 // PlanBodies returns the native bodies of the method's compilation plan
 // at each level: PlanBodies(...)[level-1].
 func PlanBodies(prog *bytecode.Program, m *bytecode.Method) ([3]map[*bytecode.Method]*isa.Code, error) {

@@ -294,8 +294,18 @@ func TestScenarioModeAccounting(t *testing.T) {
 	if cell.Energy <= 0 || cell.Time <= 0 {
 		t.Error("scenario should consume energy and time")
 	}
-	if cell.MemoHits == 0 {
-		t.Error("repeated inputs should hit the memo")
+	// Only local runs replay.
+	if local := total - cell.ModeCounts[core.ModeRemote]; cell.MemoHits > local {
+		t.Errorf("%d replays from %d local runs", cell.MemoHits, local)
+	}
+	// A local-only strategy replays every run but the first of each
+	// input drawn.
+	l2, err := RunScenario(envs[0], SitGoodDominant, core.StrategyL2, 25, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if min := 25 - len(envs[0].App.ScenarioSizes); l2.MemoHits < min || l2.MemoHits >= 25 {
+		t.Errorf("L2 scenario replayed %d of 25 runs, want at least %d and fewer than 25", l2.MemoHits, min)
 	}
 }
 

@@ -34,12 +34,10 @@ type MarkovPoint struct {
 // on a wired client with uniformly drawn sizes and returns the total
 // energy.
 func driveScenario(env *Env, client *core.Client, runs int, seed uint64) (float64, error) {
-	client.Memo = core.NewMemo()
 	sizes := env.App.ScenarioSizes
 	sizeR := rng.New(seed ^ 0xABCD)
 	for run := 0; run < runs; run++ {
 		size := sizes[sizeR.Intn(len(sizes))]
-		client.MemoInputKey = uint64(size)
 		if err := client.RunExecution(env.Target, size, inputSeed(env.App.Name, size, seed)); err != nil {
 			return 0, err
 		}

@@ -103,7 +103,6 @@ func runScenarioWith(env *Env, sit Situation, strategy core.Strategy, runs int, 
 	if err != nil {
 		return Fig7Cell{}, err
 	}
-	client.Memo = core.NewMemo()
 	if attach != nil {
 		attach(client)
 	}
@@ -116,7 +115,6 @@ func runScenarioWith(env *Env, sit Situation, strategy core.Strategy, runs int, 
 		// Each run is a fresh application execution: classes reload,
 		// so any compilation is paid again (Fig 6 includes it for a
 		// single execution; Fig 7 scenarios repeat that 300 times).
-		client.MemoInputKey = uint64(size)
 		if err := client.RunExecution(env.Target, size, inputSeed(env.App.Name, size, seed)); err != nil {
 			return Fig7Cell{}, fmt.Errorf("%s/%v/%v run %d: %w", env.App.Name, sit, strategy, run, err)
 		}

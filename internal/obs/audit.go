@@ -77,7 +77,7 @@ func (a *Auditor) Emit(e core.Event) {
 	case core.EvInvoke:
 		est := a.pending[name]
 		if est == nil {
-			return // static policy, or memo replay without a decision
+			return // static policy: no decision to audit
 		}
 		delete(a.pending, name)
 		m := a.methods[name]
