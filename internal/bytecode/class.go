@@ -147,9 +147,6 @@ func (c *Class) NumFSlots() int { return c.numFSlots }
 // serializer and any future GC use it to trace objects.
 func (c *Class) RefSlots() []int { return c.refSlots }
 
-// Layout returns every field of an instance (inherited first).
-func (c *Class) Layout() []FieldSlot { return c.layout }
-
 // FieldSlot returns the linked slot of the named field, searching the
 // superclass chain, or nil when undefined.
 func (c *Class) FieldSlot(name string) *FieldSlot {
@@ -377,13 +374,4 @@ func (p *Program) Link() error {
 		}
 	}
 	return nil
-}
-
-// MustLink links the program and panics on error; for tests and
-// statically known-good programs built by the MJ compiler.
-func (p *Program) MustLink() *Program {
-	if err := p.Link(); err != nil {
-		panic(err)
-	}
-	return p
 }

@@ -105,9 +105,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// Adaptive reports whether the strategy decides per invocation.
-func (s Strategy) Adaptive() bool { return s == StrategyAL || s == StrategyAA }
-
 // StaticMode returns the fixed mode of a static strategy.
 func (s Strategy) StaticMode() Mode {
 	switch s {

@@ -27,11 +27,6 @@ type Claims struct {
 	Speedups map[string]float64
 }
 
-// MeasureEstimatorAccuracy validates profiles at held-out sizes.
-func MeasureEstimatorAccuracy(envs []*Env, seed uint64) (map[string]float64, error) {
-	return MeasureEstimatorAccuracyOn(nil, envs, seed)
-}
-
 // MeasureEstimatorAccuracyOn validates profiles at held-out sizes,
 // one app per runner job.
 func MeasureEstimatorAccuracyOn(r *Runner, envs []*Env, seed uint64) (map[string]float64, error) {

@@ -117,10 +117,6 @@ func NewServerPool(prog *bytecode.Program, n int, cfg core.SessionConfig, chaos 
 	return p
 }
 
-// IDs lists the backend names in placement order. Callers must not
-// mutate the returned slice.
-func (p *ServerPool) IDs() []string { return p.ids }
-
 // alloc sizes every backend's client-session table for a cohort of n.
 func (p *ServerPool) alloc(n int) {
 	for _, b := range p.backends {

@@ -70,10 +70,3 @@ func CompileCached(prog *bytecode.Program, m *bytecode.Method, level Level) (*is
 	stats := e.stats
 	return &code, &stats, nil
 }
-
-// MemoSize reports the number of cached (method, level) entries.
-func MemoSize() int {
-	memoMu.RLock()
-	defer memoMu.RUnlock()
-	return len(memo)
-}

@@ -93,10 +93,6 @@ func NewCache(cfg CacheConfig) *Cache {
 // Config returns the cache geometry.
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
-// LineOf returns the line number addr falls on. Two addresses with
-// equal line numbers always hit or miss together.
-func (c *Cache) LineOf(addr uint64) uint64 { return addr >> c.lineShift }
-
 // Access looks up addr, updating the cache state, and reports whether
 // it hit.
 func (c *Cache) Access(addr uint64) bool {
