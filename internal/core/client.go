@@ -216,7 +216,7 @@ func (c *Client) input(t *Target, k inputKey) (*execInput, error) {
 	args, err := t.MakeArgs(c.VM, k.size, rng.New(k.seed))
 	*c.VM.Acct = acct
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: building %s input of size %d: %w", t.QName(), k.size, err)
 	}
 	in := &execInput{img: c.VM.Heap.Snapshot(), args: args}
 	if c.inputs == nil {

@@ -50,6 +50,37 @@ type Object struct {
 	I       []int64
 	F       []float64
 	Addr    uint64
+
+	// save is set while a HeapImage holds the object.
+	save *objectSave
+}
+
+// objectSave is what a HeapImage keeps of one object it holds: the
+// object's contents at the snapshot, copied only when a run first
+// writes to it. An input a run only reads is never copied.
+type objectSave struct {
+	img   *HeapImage
+	kept  bool // i and f hold the snapshot contents
+	dirty bool // written since the last Snapshot or Restore
+	i     []int64
+	f     []float64
+}
+
+// written prepares o for a write: the first write after a Snapshot or
+// Restore of an image holding o keeps the contents the image restores.
+func (o *Object) written() {
+	if s := o.save; s != nil && !s.dirty {
+		s.keep(o)
+	}
+}
+
+func (s *objectSave) keep(o *Object) {
+	if !s.kept {
+		s.i = append([]int64(nil), o.I...)
+		s.f = append([]float64(nil), o.F...)
+		s.kept = true
+	}
+	s.dirty = true
 }
 
 // Class returns the class of an instance within prog.
@@ -93,60 +124,50 @@ func (h *Heap) Reset() {
 
 // HeapImage is a frozen copy of a heap: every object under its handle,
 // with its address and contents, and the allocator position after
-// them. Snapshot takes one and Restore puts it back. An image shares
-// no memory with any heap, so the writes a run makes to restored
-// objects never reach the image or the next Restore.
+// them. Snapshot takes one and Restore puts it back. The image holds
+// the heap's objects themselves and copies an object's contents only
+// when a run first writes to it, so the writes a run makes never
+// reach the next Restore, and restoring an input that runs only read
+// copies nothing. An object belongs to the last image taken of it:
+// an image may be restored, into one heap at a time, until a later
+// Snapshot takes its objects over.
 type HeapImage struct {
-	objects []Object
-	alloc   mem.Allocator
+	live  []*Object
+	alloc mem.Allocator
 }
 
 // Snapshot returns an image of the heap's current contents. It charges
 // nothing.
 func (h *Heap) Snapshot() *HeapImage {
-	img := &HeapImage{objects: make([]Object, len(h.objects)), alloc: *h.alloc}
-	for i, o := range h.objects {
-		img.objects[i] = *o
-		img.objects[i].I = append([]int64(nil), o.I...)
-		img.objects[i].F = append([]float64(nil), o.F...)
+	img := &HeapImage{live: append([]*Object(nil), h.objects...), alloc: *h.alloc}
+	for _, o := range h.objects {
+		o.save = &objectSave{img: img}
 	}
 	return img
 }
 
 // Restore makes the heap hold exactly the image's objects, under the
-// image's handles and addresses, and moves the allocator back to where
-// the image left it: the next allocation lands where it would have
-// landed right after the image was taken. It charges nothing. Objects
-// the previous run left at the image's handles are reused when their
-// shape matches, so restoring one image run after run allocates
-// nothing.
+// image's handles and addresses, with the contents they had at the
+// snapshot, and moves the allocator back to where the image left it:
+// the next allocation lands where it would have landed right after the
+// snapshot. It charges nothing.
 func (h *Heap) Restore(img *HeapImage) {
-	for i := range img.objects {
-		src := &img.objects[i]
-		if i < len(h.objects) {
-			if o := h.objects[i]; len(o.I) == len(src.I) && len(o.F) == len(src.F) {
-				is, fs := o.I, o.F
-				*o = *src
-				o.I, o.F = is, fs
-				copy(o.I, src.I)
-				copy(o.F, src.F)
-				continue
-			}
+	for _, o := range img.live {
+		s := o.save
+		if s == nil || s.img != img {
+			panic("vm: Restore of a heap image whose objects a later Snapshot took over")
 		}
-		o := *src
-		o.I = append([]int64(nil), src.I...)
-		o.F = append([]float64(nil), src.F...)
-		if i < len(h.objects) {
-			h.objects[i] = &o
-		} else {
-			h.objects = append(h.objects, &o)
+		if s.dirty {
+			copy(o.I, s.i)
+			copy(o.F, s.f)
+			s.dirty = false
 		}
 	}
-	if n := len(img.objects); n < len(h.objects) {
+	if n := len(img.live); n < len(h.objects) {
 		// Drop the previous run's own objects so they can be collected.
 		clear(h.objects[n:])
-		h.objects = h.objects[:n]
 	}
+	h.objects = append(h.objects[:0], img.live...)
 	*h.alloc = img.alloc
 	h.dt = mem.LineTracker{}
 }
@@ -253,6 +274,7 @@ func (h *Heap) SetFieldI(handle int64, slot int, v int64) error {
 		return fmt.Errorf("%w: int field slot %d", ErrBounds, slot)
 	}
 	h.hier.Data1T(o.intSlotAddr(slot), &h.dt)
+	o.written()
 	o.I[slot] = v
 	return nil
 }
@@ -280,6 +302,7 @@ func (h *Heap) SetFieldF(handle int64, slot int, v float64) error {
 		return fmt.Errorf("%w: float field slot %d", ErrBounds, slot)
 	}
 	h.hier.Data(o.floatSlotAddr(slot), 2)
+	o.written()
 	o.F[slot] = v
 	return nil
 }
@@ -319,6 +342,7 @@ func (h *Heap) SetElemI(handle, i, v int64) error {
 		return ErrBounds
 	}
 	h.hier.Data1T(o.intSlotAddr(int(i)), &h.dt)
+	o.written()
 	o.I[i] = v
 	return nil
 }
@@ -352,6 +376,7 @@ func (h *Heap) SetElemF(handle, i int64, v float64) error {
 		return ErrBounds
 	}
 	h.hier.Data(o.Addr+objHeaderBytes+8*uint64(i), 2)
+	o.written()
 	o.F[i] = v
 	return nil
 }

@@ -39,18 +39,42 @@ func buildInput(t *testing.T, v *VM, seed uint64) {
 	}
 }
 
-// scribble plays a run on the heap: it overwrites every int and float
-// slot of every live object, then allocates fresh objects of random
-// shapes.
+// overwrite writes new values to every int and float slot of the
+// object under handle h, through the heap's setters as a run does.
+func overwrite(t *testing.T, heap *Heap, h int64, r *rng.RNG) {
+	t.Helper()
+	o, err := heap.Get(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range o.I {
+		if o.IsArr {
+			err = heap.SetElemI(h, int64(i), int64(r.Intn(1<<30)))
+		} else {
+			err = heap.SetFieldI(h, i, int64(r.Intn(1<<30)))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range o.F {
+		if o.IsArr {
+			err = heap.SetElemF(h, int64(i), r.Float64())
+		} else {
+			err = heap.SetFieldF(h, i, r.Float64())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// scribble plays a run on the heap: it overwrites every live object,
+// then allocates fresh objects of random shapes.
 func scribble(t *testing.T, h *Heap, r *rng.RNG) {
 	t.Helper()
-	for _, o := range h.objects {
-		for i := range o.I {
-			o.I[i] = int64(r.Intn(1 << 30))
-		}
-		for i := range o.F {
-			o.F[i] = r.Float64()
-		}
+	for i := range h.objects {
+		overwrite(t, h, int64(i+1), r)
 	}
 	for k := r.Intn(6); k >= 0; k-- {
 		kind := []bytecode.ElemKind{bytecode.ElemInt, bytecode.ElemFloat, bytecode.ElemRef}[r.Intn(3)]
@@ -96,8 +120,8 @@ func TestHeapRestoreProperty(t *testing.T) {
 		for round := 0; round < 4; round++ {
 			scribble(t, v.Heap, r)
 			if round%2 == 1 {
-				// An emptied heap refilled with other shapes forces
-				// Restore to replace objects instead of reusing them.
+				// An emptied heap refilled with other objects must
+				// leave no trace in the restored one.
 				v.ResetRun(nil)
 				scribble(t, v.Heap, r)
 			}
@@ -112,20 +136,29 @@ func TestHeapRestoreProperty(t *testing.T) {
 	}
 }
 
-// TestRestoreReusesObjects: restoring an image over a run that only
-// wrote to the input allocates nothing.
+// TestRestoreReusesObjects: once each image has been restored, runs
+// that alternate between two inputs and write to them restore without
+// allocating.
 func TestRestoreReusesObjects(t *testing.T) {
 	v := New(buildTestProgram(t), energy.MicroSPARCIIep())
 	buildInput(t, v, 3)
-	img := v.Heap.Snapshot()
-	if n := testing.AllocsPerRun(20, func() {
-		for _, o := range v.Heap.objects {
-			for i := range o.I {
-				o.I[i]++
-			}
-		}
+	a := v.Heap.Snapshot()
+	v.ResetRun(nil)
+	buildInput(t, v, 4)
+	b := v.Heap.Snapshot()
+	r := rng.New(5)
+	run := func(img *HeapImage) {
 		v.Heap.Restore(img)
+		for i := range v.Heap.objects {
+			overwrite(t, v.Heap, int64(i+1), r)
+		}
+	}
+	run(a)
+	run(b)
+	if n := testing.AllocsPerRun(20, func() {
+		run(a)
+		run(b)
 	}); n != 0 {
-		t.Errorf("%v allocations per restore, want 0", n)
+		t.Errorf("%v allocations per pair of restores, want 0", n)
 	}
 }
