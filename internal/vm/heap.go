@@ -122,15 +122,16 @@ func (h *Heap) Reset() {
 	h.alloc.Reset()
 }
 
-// HeapImage is a frozen copy of a heap: every object under its handle,
-// with its address and contents, and the allocator position after
-// them. Snapshot takes one and Restore puts it back. The image holds
-// the heap's objects themselves and copies an object's contents only
-// when a run first writes to it, so the writes a run makes never
-// reach the next Restore, and restoring an input that runs only read
-// copies nothing. An object belongs to the last image taken of it:
-// an image may be restored, into one heap at a time, until a later
-// Snapshot takes its objects over.
+// HeapImage is the state of a heap at a Snapshot: every object under
+// its handle, with its address and contents, and the allocator
+// position after them. Restore puts it back. The image holds the
+// heap's objects themselves and keeps a copy of an object's contents
+// from the first write a run makes to it (through the heap's setters,
+// the only write path runs have), so the writes a run makes never
+// reach the next Restore, and an input that runs only read is never
+// copied. An object belongs to the last image taken of it: an image
+// may be restored, into one heap at a time, until a later Snapshot
+// takes its objects over.
 type HeapImage struct {
 	live  []*Object
 	alloc mem.Allocator
