@@ -181,9 +181,10 @@ type execInput struct {
 // classes reloaded (NewExecution), a heap holding exactly the input as
 // MakeArgs leaves it on an empty heap, a fresh frame stack, and caches
 // flushed after the input is in place. Building the input is the
-// driver's work, not the handset's: it never reaches the account. The
-// client builds each input once and restores it by copy afterwards, so
-// the runs a later execution makes on it cannot leak into the next.
+// caller's work, not the handset's: it never reaches the account. The
+// client builds each input once and restores it from a vm.HeapImage
+// afterwards, so the writes one execution makes cannot leak into the
+// next.
 // A local run of the entry invocation that repeats one this client
 // already ran is replayed from its recorded charges (see memo.go).
 // Callers that read results use Invoke, which never replays.

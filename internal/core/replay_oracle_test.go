@@ -14,9 +14,9 @@ import (
 
 // The replay oracles run the grid and a fleet twice, with handset
 // replay on and with every execution simulated for real, and require
-// the outputs to agree bit for bit. They live here rather than beside
-// the drivers because only core's own test binary can switch replay
-// off.
+// the outputs to agree bit for bit. They live here rather than in the
+// experiments and fleet packages because only core's own test binary
+// can switch replay off.
 
 // TestGridReplayExact: every Fig 7 cell (energy, time, mode counts and
 // fallbacks) is bit-identical with replay on and off, over all apps,
