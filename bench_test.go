@@ -111,7 +111,7 @@ func BenchmarkFig6StaticStrategies(b *testing.B) {
 	b.ResetTimer()
 	var norm float64
 	for i := 0; i < b.N; i++ {
-		bars, err := experiments.RunFig6([]*experiments.Env{fe}, 42)
+		bars, err := experiments.RunFig6On(nil, []*experiments.Env{fe}, 42)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func BenchmarkFig8CompilationEnergy(b *testing.B) {
 	b.ResetTimer()
 	var c4 float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunFig8(envs)
+		rows, err := experiments.RunFig8On(nil, envs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -356,7 +356,7 @@ func BenchmarkTCPRoundtrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer l.Close()
-	go core.Serve(l, core.NewServer(fe.Prog)) //nolint:errcheck
+	go core.NewTCPServer(core.NewServer(fe.Prog), core.SessionConfig{}).Serve(l) //nolint:errcheck
 	remote, err := core.DialServer(l.Addr().String())
 	if err != nil {
 		b.Fatal(err)

@@ -12,7 +12,7 @@ import (
 // sampleSeries records 40 counter and gauge writes over several
 // windows and returns the recorder's JSONL and its window count.
 func sampleSeries(t testing.TB) ([]byte, int) {
-	ts := obs.NewTimeSeries(0.0005, 0)
+	ts := obs.NewTimeSeries(0.0005)
 	for i := 0; i < 40; i++ {
 		at := float64(i) * 0.0003
 		ts.Add(at, "served", 1)
@@ -132,7 +132,7 @@ func TestValidatePromRejects(t *testing.T) {
 // TestRunValidateFiles drives the -validate-ts/-validate-prom file
 // mode end to end the way CI invokes it.
 func TestRunValidateFiles(t *testing.T) {
-	ts := obs.NewTimeSeries(0.001, 0)
+	ts := obs.NewTimeSeries(0.001)
 	ts.Add(0.0004, "served", 1)
 	ts.Add(0.0023, "served", 2)
 	var jb bytes.Buffer

@@ -4,7 +4,7 @@
 // serialized payload sizes, and compilation costs per level. With
 // -outage it additionally drives a short scenario per strategy under
 // a Gilbert–Elliott burst-outage process and prints each client's
-// link telemetry (exchanges, losses, stalls, bytes) plus the
+// link telemetry (exchanges, losses, retransmits, bytes) plus the
 // retry/breaker counters.
 //
 // The observability flags drive an observed AL/AA scenario (situation
@@ -140,8 +140,8 @@ func writeArtifact(name string, fn func(io.Writer) error) error {
 // link and prints the radio counters surfaced through the Stats sink.
 func renderTelemetry(w *os.File, env *experiments.Env, outage, burst float64, runs int, seed uint64) error {
 	fmt.Fprintf(w, "link telemetry under outage %.2f, mean burst %.0f (%d executions)\n\n", outage, burst, runs)
-	fmt.Fprintf(w, "%-9s %10s | %6s %6s %6s %6s %9s %9s | %5s %5s %5s\n",
-		"strategy", "energy", "exchg", "loss", "rtx", "stall", "tx B", "rx B", "retry", "probe", "down")
+	fmt.Fprintf(w, "%-9s %10s | %6s %6s %6s %9s %9s | %5s %5s %5s\n",
+		"strategy", "energy", "exchg", "loss", "rtx", "tx B", "rx B", "retry", "probe", "down")
 	for _, s := range core.Strategies {
 		server := core.NewServer(env.Prog)
 		c := core.New(core.ClientConfig{
@@ -165,8 +165,8 @@ func renderTelemetry(w *os.File, env *experiments.Env, outage, burst float64, ru
 			c.StepChannel()
 		}
 		tel := c.Stats.Radio // the EvInvoke stream's last snapshot
-		fmt.Fprintf(w, "%-9v %10v | %6d %6d %6d %6d %9d %9d | %5d %5d %5d\n",
-			s, c.Energy(), tel.Exchanges, tel.Losses, tel.Retransmits, tel.Stalls,
+		fmt.Fprintf(w, "%-9v %10v | %6d %6d %6d %9d %9d | %5d %5d %5d\n",
+			s, c.Energy(), tel.Exchanges, tel.Losses, tel.Retransmits,
 			tel.BytesSent, tel.BytesReceived,
 			c.Stats.Retries, c.Stats.Probes, c.Stats.LinkDowns)
 	}

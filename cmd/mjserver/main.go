@@ -99,7 +99,7 @@ func run(listen, app, metrics string, cfg core.SessionConfig, args []string) err
 
 	// Graceful shutdown: on SIGINT/SIGTERM stop accepting, close live
 	// connections and drain in-flight handlers before exiting.
-	srv := core.NewSessionTCPServer(core.NewSessionServer(core.NewServer(prog), cfg))
+	srv := core.NewTCPServer(core.NewServer(prog), cfg)
 	if metrics != "" {
 		collector := obs.NewRPCCollector(nil)
 		srv.Metrics = collector

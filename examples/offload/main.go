@@ -6,7 +6,6 @@ package main
 
 import (
 	"context"
-
 	"fmt"
 	"log"
 
@@ -70,7 +69,7 @@ func main() {
 		float64(st.RequestTime), float64(st.EstimatedEnd), st.Queued)
 
 	fmt.Println("3. the channel drops — the client times out and falls back locally")
-	client.Link.LossProb = 1.0
+	client.Link.Fault = radio.IIDLoss{P: 1}
 	res2, err := client.Invoke(context.Background(), app.Class, app.Method, args)
 	if err != nil {
 		log.Fatal(err)
@@ -89,7 +88,7 @@ func main() {
 	fmt.Printf("   remote and local results %s\n", same)
 
 	fmt.Println("4. remote compilation: download the pre-compiled body instead of running the JIT")
-	client.Link.LossProb = 0
+	client.Link.Fault = nil
 	body, bytes, err := server.CompiledBody(context.Background(), "PF.shortest", 2)
 	if err != nil {
 		log.Fatal(err)

@@ -106,6 +106,15 @@ func homeOf(c *Client, ids []string) string {
 	return ids[int(fnvHash(c.ID)%uint64(len(ids)))]
 }
 
+// breakerState reads the named backend's breaker state without
+// advancing it: BreakerClosed when the backend never failed.
+func breakerState(c *Client, id string) BreakerState {
+	if b := c.breakers[id]; b != nil {
+		return b.state
+	}
+	return BreakerClosed
+}
+
 // TestBackendBreakerFailover is the tentpole's core path: a loss
 // attributed to the home backend opens that backend's breaker only,
 // and the in-flight invocation retries onto the surviving backend —
@@ -146,10 +155,10 @@ func TestBackendBreakerFailover(t *testing.T) {
 	if c.Breaker.State() != BreakerClosed {
 		t.Error("the shared link breaker must stay closed on an attributed loss")
 	}
-	if got := c.BackendBreakerState(home); got != BreakerOpen {
+	if got := breakerState(c, home); got != BreakerOpen {
 		t.Errorf("home breaker state %v, want open", got)
 	}
-	if got := c.BackendBreakerState(other); got != BreakerClosed {
+	if got := breakerState(c, other); got != BreakerClosed {
 		t.Errorf("surviving breaker state %v, want closed", got)
 	}
 	if pool.served[other] == 0 {
@@ -205,7 +214,7 @@ func TestHalfOpenProbeDuringRestart(t *testing.T) {
 
 	// Open a's breaker with one attributed loss.
 	c.noteRemoteFailureOn("a")
-	if got := c.BackendBreakerState("a"); got != BreakerOpen {
+	if got := breakerState(c, "a"); got != BreakerOpen {
 		t.Fatalf("breaker state %v after attributed loss, want open", got)
 	}
 	if got := c.Stats.LinkDownsBy["a"]; got != 1 {
@@ -224,7 +233,7 @@ func TestHalfOpenProbeDuringRestart(t *testing.T) {
 	if got := c.Stats.LinkDownsBy["a"]; got != 2 {
 		t.Errorf("LinkDownsBy[a] = %d, want 2 (failed probe re-opens)", got)
 	}
-	if got := c.BackendBreakerState("a"); got != BreakerOpen {
+	if got := breakerState(c, "a"); got != BreakerOpen {
 		t.Errorf("breaker state %v after failed probe, want open", got)
 	}
 
@@ -246,7 +255,7 @@ func TestHalfOpenProbeDuringRestart(t *testing.T) {
 	if c.Stats.Probes != 2 {
 		t.Errorf("Probes = %d, want 2", c.Stats.Probes)
 	}
-	if got := c.BackendBreakerState("a"); got != BreakerClosed {
+	if got := breakerState(c, "a"); got != BreakerClosed {
 		t.Errorf("breaker state %v after successful probe, want closed", got)
 	}
 	if got := c.Stats.LinkUpsBy["a"]; got != 1 {

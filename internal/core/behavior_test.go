@@ -192,43 +192,6 @@ func TestClockAdvancesMonotonically(t *testing.T) {
 	}
 }
 
-// TestDownloadApplication charges communication and verification for
-// the dynamic-download capability the paper motivates.
-func TestDownloadApplication(t *testing.T) {
-	p := testProgram(t)
-	c := newTestClient(t, p, StrategyI, radio.Fixed{Cls: radio.Class4}, workTarget())
-	n, err := c.DownloadApplication()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n <= 0 {
-		t.Fatal("no bytes downloaded")
-	}
-	if c.VM.Acct.Component(energy.CompRadioRx) <= 0 {
-		t.Error("download should charge receive energy")
-	}
-	if c.VM.Acct.Component(energy.CompCore) <= 0 {
-		t.Error("class loading/verification should charge core energy")
-	}
-	if c.ClassLoadEnergy() <= 0 {
-		t.Error("ClassLoadEnergy should be positive")
-	}
-	// Download under a degraded channel costs more.
-	c2 := newTestClient(t, p, StrategyI, radio.Fixed{Cls: radio.Class1}, workTarget())
-	if _, err := c2.DownloadApplication(); err != nil {
-		t.Fatal(err)
-	}
-	if c2.VM.Acct.Component(energy.CompRadioRx) <= c.VM.Acct.Component(energy.CompRadioRx) {
-		t.Error("worse channel should make the download cost more")
-	}
-	// A dead link surfaces the error.
-	c3 := newTestClient(t, p, StrategyI, radio.Fixed{Cls: radio.Class4}, workTarget())
-	c3.Link.LossProb = 1
-	if _, err := c3.DownloadApplication(); err == nil {
-		t.Error("download over a dead link should fail")
-	}
-}
-
 // TestCodeCacheEviction: a tight code cache forces LRU eviction and
 // recompilation charges on the next use of the evicted body.
 func TestCodeCacheEviction(t *testing.T) {

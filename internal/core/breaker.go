@@ -94,9 +94,6 @@ func (b *Breaker) cloneConfig() *Breaker {
 // State returns the current state without advancing it.
 func (b *Breaker) State() BreakerState { return b.state }
 
-// ConsecutiveLosses reports the current loss run length.
-func (b *Breaker) ConsecutiveLosses() int { return b.consecutive }
-
 // Next advances Open to HalfOpen once the cooldown has elapsed at the
 // given virtual time and returns the resulting state.
 func (b *Breaker) Next(now energy.Seconds) BreakerState {

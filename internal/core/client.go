@@ -480,16 +480,6 @@ func (c *Client) backendBreaker(id string) *Breaker {
 	return b
 }
 
-// BackendBreakerState reports the named backend's breaker state
-// (BreakerClosed when it has never failed or breakers are off) without
-// advancing it — the observability view.
-func (c *Client) BackendBreakerState(id string) BreakerState {
-	if b := c.breakers[id]; b != nil {
-		return b.State()
-	}
-	return BreakerClosed
-}
-
 // noteRemoteFailure records one lost remote exchange that cannot be
 // attributed to a backend: it strikes the shared link breaker.
 func (c *Client) noteRemoteFailure() { c.noteRemoteFailureOn("") }
@@ -556,14 +546,10 @@ const (
 	busyRateCap    = 0.95
 )
 
-// noteServerBusy folds one admission rejection from an anonymous
-// backend into the busy-rate estimate. Busy is not a link failure:
-// the breaker and loss counters are untouched, only the price of
-// future offloads rises.
-func (c *Client) noteServerBusy() { c.noteServerBusyOn("") }
-
 // noteServerBusyOn folds one admission rejection from the named
-// backend into that backend's busy-rate estimate.
+// backend ("" for a single anonymous server) into that backend's
+// busy-rate estimate. Busy is not a link failure: the breaker and loss
+// counters are untouched, only the price of future offloads rises.
 func (c *Client) noteServerBusyOn(backend string) {
 	if c.busyRates == nil {
 		c.busyRates = map[string]float64{}
@@ -574,23 +560,6 @@ func (c *Client) noteServerBusyOn(backend string) {
 // busyRateOf is the busy estimate for one backend (0 when never shed
 // on).
 func (c *Client) busyRateOf(backend string) float64 { return c.busyRates[backend] }
-
-// BusyRate is the busy estimate of the client's cheapest offload
-// option: for a single server, its EWMA; across a pool, the minimum —
-// the rate the client's next offload is actually priced at.
-func (c *Client) BusyRate() float64 {
-	ids := c.backendIDs()
-	if len(ids) == 0 {
-		return c.busyRateOf("")
-	}
-	min := c.busyRateOf(ids[0])
-	for _, id := range ids[1:] {
-		if r := c.busyRateOf(id); r < min {
-			min = r
-		}
-	}
-	return min
-}
 
 // backendIDs lists the backends behind c.Server, nil for a plain
 // single Remote. Resolved per call: tests and drivers swap c.Server

@@ -94,8 +94,8 @@ func New(cfg ClientConfig, opts ...Option) *Client {
 	return c
 }
 
-// WithFaultModel installs a link fault model (burst outages, response
-// losses, stalls; see internal/radio).
+// WithFaultModel installs a link fault model (an i.i.d. coin, burst
+// outages; see internal/radio).
 func WithFaultModel(f radio.FaultModel) Option {
 	return func(c *Client) { c.Link.Fault = f }
 }

@@ -238,7 +238,7 @@ func TestStaticCompiledStrategiesCompileOnce(t *testing.T) {
 func TestConnectionLossFallsBackLocally(t *testing.T) {
 	p := testProgram(t)
 	c := newTestClient(t, p, StrategyR, radio.Fixed{Cls: radio.Class4}, workTarget())
-	c.Link.LossProb = 1.0
+	c.Link.Fault = radio.IIDLoss{P: 1}
 	res, err := c.Invoke(context.Background(), "App", "work", []vm.Slot{vm.IntSlot(150)})
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +315,7 @@ func TestAARemoteCompilation(t *testing.T) {
 func TestAAFallsBackToLocalCompileOnLoss(t *testing.T) {
 	p := testProgram(t)
 	c := newTestClient(t, p, StrategyAA, radio.Fixed{Cls: radio.Class4}, workTarget())
-	c.Link.LossProb = 1.0
+	c.Link.Fault = radio.IIDLoss{P: 1}
 	// Remote execution impossible; remote compile impossible; client
 	// must still make progress locally.
 	res, err := c.Invoke(context.Background(), "App", "work", []vm.Slot{vm.IntSlot(300)})

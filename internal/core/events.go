@@ -247,8 +247,10 @@ type Stats struct {
 	RemoteCompiles int
 	// Evictions counts bodies unlinked by the code cache's LRU policy.
 	Evictions int
-	// MemoHits counts invocations replayed from the memo.
-	MemoHits int
+	// MemoHits counts invocations replayed from the memo. It counts
+	// host work, not simulated behaviour, so it stays out of the JSON
+	// records.
+	MemoHits int `json:"-"`
 	// Retries counts re-attempted remote exchanges after losses.
 	Retries int
 	// Sheds counts remote exchanges the server rejected with a busy
@@ -272,10 +274,10 @@ type Stats struct {
 	LinkDownsBy map[string]int
 	LinkUpsBy   map[string]int
 	// Radio is the link-telemetry snapshot carried by the most recent
-	// radio-touching event (losses, retransmits, stalls, exchanged
-	// bytes). A trailing failed exchange can still leave it behind the
-	// link when the invocation itself errors out — drivers call
-	// Client.SyncStats at end of run to fold in the final counters.
+	// radio-touching event (losses, retransmits, exchanged bytes). A
+	// trailing failed exchange can still leave it behind the link when
+	// the invocation itself errors out — callers run Client.SyncStats
+	// at end of run to fold in the final counters.
 	Radio radio.Telemetry
 }
 

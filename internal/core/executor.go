@@ -247,8 +247,6 @@ func (x *Executor) remoteExecute(m *bytecode.Method, t *Target, size float64, ar
 	c.VM.ChargeSerialization(len(argBytes))
 	c.syncClock()
 
-	// On a lost transfer the returned time is the stall spent before
-	// detecting the loss — it still advances the clock.
 	tTx, err := c.Link.Send(len(argBytes))
 	c.Clock += tTx
 	if err != nil {

@@ -19,8 +19,9 @@ import (
 
 // TCP transport: the paper validated its prototype on two SPARC
 // workstations, one acting as the server and one as the mobile client.
-// Serve exposes a Server over a real socket and DialServer returns a
-// core.Remote that a Client can use in place of the in-process server.
+// TCPServer exposes a Server over a real socket and DialServer returns
+// a core.Remote that a Client can use in place of the in-process
+// server.
 // Energy accounting is unchanged — the radio model still prices the
 // exchanged byte counts — the transport only moves the execution into
 // another process.
@@ -289,21 +290,14 @@ func (m *wire) rdF64() float64 {
 	return v
 }
 
-// Serve accepts connections on the listener and dispatches requests to
-// the server until the listener is closed. Each connection is handled
-// on its own goroutine; the Server serializes execution internally.
-// For graceful shutdown, build a TCPServer instead.
-func Serve(l net.Listener, s *Server) error {
-	return NewTCPServer(s).Serve(l)
-}
-
 // TCPServer runs a session-multiplexed Server behind one or more
-// listeners and supports graceful shutdown: Close stops accepting,
-// cancels in-flight handlers (including requests waiting in the
-// admission queue), closes every live connection, and waits for
-// handlers to drain.
+// listeners, with real-time admission control in front of it. Each
+// connection is handled on its own goroutine. Close shuts it down
+// gracefully: it stops accepting, cancels in-flight handlers
+// (including requests waiting in the admission queue), closes every
+// live connection, and waits for handlers to drain.
 type TCPServer struct {
-	s *SessionServer
+	s *sessionServer
 
 	// Metrics, when non-nil, observes served connections and requests.
 	// Set it before the first Serve call.
@@ -319,29 +313,18 @@ type TCPServer struct {
 	wg        sync.WaitGroup
 }
 
-// NewTCPServer wraps a Server for network serving with default
-// admission control; use NewSessionTCPServer to configure the worker
-// pool and queue.
-func NewTCPServer(s *Server) *TCPServer {
-	return NewSessionTCPServer(NewSessionServer(s, SessionConfig{}))
-}
-
-// NewSessionTCPServer wraps a configured session layer for network
-// serving.
-func NewSessionTCPServer(s *SessionServer) *TCPServer {
+// NewTCPServer wraps a Server for network serving, its worker pool
+// and queue shaped by cfg.
+func NewTCPServer(s *Server, cfg SessionConfig) *TCPServer {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &TCPServer{
-		s:         s,
+		s:         newSessionServer(s, cfg),
 		baseCtx:   ctx,
 		cancel:    cancel,
 		listeners: map[net.Listener]struct{}{},
 		conns:     map[net.Conn]struct{}{},
 	}
 }
-
-// Sessions returns the server's session layer (admission stats, open
-// sessions).
-func (t *TCPServer) Sessions() *SessionServer { return t.s }
 
 // Serve accepts and dispatches until the listener fails or the server
 // is closed; after Close it returns ErrServerClosed.
@@ -459,7 +442,7 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 
 // safeHandle converts a handler panic into a failure frame so one
 // poisoned request cannot take the serving goroutine down.
-func safeHandle(ctx context.Context, req []byte, s *SessionServer, met RPCMetrics) (resp []byte) {
+func safeHandle(ctx context.Context, req []byte, s *sessionServer, met RPCMetrics) (resp []byte) {
 	defer func() {
 		if r := recover(); r != nil {
 			met.PanicRecovered()
@@ -469,7 +452,7 @@ func safeHandle(ctx context.Context, req []byte, s *SessionServer, met RPCMetric
 	return handle(ctx, req, s)
 }
 
-func handle(ctx context.Context, req []byte, s *SessionServer) []byte {
+func handle(ctx context.Context, req []byte, s *sessionServer) []byte {
 	m := &wire{buf: req}
 	op := m.rdU8()
 	switch op {
@@ -478,18 +461,12 @@ func handle(ctx context.Context, req []byte, s *SessionServer) []byte {
 		if m.err != nil {
 			return failFrame(m.err)
 		}
-		// The hello response advertises the server's current admission
-		// queue depth and its pool backend name — the load signal
-		// power-of-two-choices placement samples. Older v2 peers stop
-		// decoding after the session ID; the trailing fields are
-		// optional on the read side.
 		out := &wire{}
 		if clientID == "" {
 			// Pure version probe: no session.
-			return out.u8(statusOK).u32(0).u32(uint32(s.QueueDepth())).str(s.Backend()).buf
+			return out.u8(statusOK).u32(0).buf
 		}
-		sess := s.Open(clientID)
-		return out.u8(statusOK).u32(sess.ID).u32(uint32(s.QueueDepth())).str(s.Backend()).buf
+		return out.u8(statusOK).u32(s.open(clientID).ID).buf
 	case opExec:
 		sid := m.rdU32()
 		clientID := m.rdStr()
@@ -503,23 +480,20 @@ func handle(ctx context.Context, req []byte, s *SessionServer) []byte {
 		}
 		var sess *Session
 		if sid != 0 {
-			if sess = s.Lookup(sid); sess == nil {
+			if sess = s.lookup(sid); sess == nil {
 				return failFrame(fmt.Errorf("%w: unknown session %d", ErrProtocol, sid))
 			}
 		} else {
 			// No handshake (or the server restarted under the client):
 			// reattach by client ID.
-			sess = s.Open(clientID)
+			sess = s.open(clientID)
 		}
-		res, servTime, queued, err := sess.Execute(ctx, clientID, class, method, argBytes, reqTime, estEnd)
+		res, servTime, queued, err := s.execute(ctx, sess, clientID, class, method, argBytes, reqTime, estEnd)
 		if err != nil {
 			var busy *BusyError
 			if errors.As(err, &busy) {
-				// The busy frame names the rejecting backend so pooled
-				// clients attribute the shed to the right busy EWMA;
-				// older v2 peers stop after the depth.
 				out := &wire{}
-				return out.u8(statusBusy).u32(uint32(busy.QueueDepth)).str(busy.Backend).buf
+				return out.u8(statusBusy).u32(uint32(busy.QueueDepth)).buf
 			}
 			return failFrame(err)
 		}
@@ -538,7 +512,7 @@ func handle(ctx context.Context, req []byte, s *SessionServer) []byte {
 		if m.err != nil {
 			return failFrame(m.err)
 		}
-		code, size, err := s.Server().CompiledBody(ctx, qname, jit.Level(level))
+		code, size, err := s.srv.CompiledBody(ctx, qname, jit.Level(level))
 		if err != nil {
 			return failFrame(err)
 		}
@@ -560,7 +534,7 @@ func failFrame(err error) []byte {
 }
 
 // RemoteServer is a core.Remote backed by a TCP connection to a
-// process running Serve. On (re)connection it performs the hello
+// process running a TCPServer. On (re)connection it performs the hello
 // handshake, verifying the protocol version and binding the client's
 // session; the assigned session ID rides on every subsequent request.
 // Transport failures — connection resets, missed deadlines,
@@ -592,15 +566,6 @@ type RemoteServer struct {
 	conn    net.Conn
 	sid     uint32
 	boundTo string
-
-	// The server's most recent queue-depth advertisement (hello
-	// responses and busy frames carry it); advOK is false until the
-	// first advertisement decodes.
-	advDepth int
-	advOK    bool
-	// backendID is the server's pool backend name from its hello
-	// response ("" for a standalone server).
-	backendID string
 }
 
 // DialServer connects to a remote compilation/execution server and
@@ -620,8 +585,7 @@ func DialServer(addr string) (*RemoteServer, error) {
 	r.conn = conn
 	probe := &wire{}
 	probe.u8(opHello).str("")
-	m, err := r.roundTrip(nil, probe.buf)
-	if err != nil {
+	if _, err := r.roundTrip(nil, probe.buf); err != nil {
 		r.Close()
 		var ve *VersionError
 		if errors.As(err, &ve) {
@@ -629,47 +593,7 @@ func DialServer(addr string) (*RemoteServer, error) {
 		}
 		return nil, err
 	}
-	m.rdU32()
-	r.noteAdvert(m)
 	return r, nil
-}
-
-// noteAdvert decodes the optional queue-depth/backend advertisement
-// trailing a hello response and caches it. Older v2 peers send
-// nothing after the session ID; absence (or a garbled tail) leaves
-// the cache untouched.
-func (r *RemoteServer) noteAdvert(m *wire) {
-	if m.err != nil || m.pos+4 > len(m.buf) {
-		return
-	}
-	depth := int(m.rdU32())
-	backend := ""
-	if m.pos+2 <= len(m.buf) {
-		backend = m.rdStr()
-	}
-	if m.err != nil {
-		return
-	}
-	r.mu.Lock()
-	r.advDepth, r.advOK, r.backendID = depth, true, backend
-	r.mu.Unlock()
-}
-
-// AdvertisedDepth is the queue depth from the most recent hello
-// response or busy frame; ok is false before any advertisement
-// arrived.
-func (r *RemoteServer) AdvertisedDepth() (int, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.advDepth, r.advOK
-}
-
-// BackendID is the server's pool backend name from its hello response
-// ("" for a standalone server, or before any handshake).
-func (r *RemoteServer) BackendID() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.backendID
 }
 
 // dial attempts the connection with capped exponential backoff.
@@ -729,7 +653,6 @@ func (r *RemoteServer) session(ctx context.Context, clientID string) (uint32, er
 	if m.err != nil {
 		return 0, m.err
 	}
-	r.noteAdvert(m)
 	r.mu.Lock()
 	r.sid, r.boundTo = sid, clientID
 	r.mu.Unlock()
@@ -810,20 +733,12 @@ func (r *RemoteServer) roundTrip(ctx context.Context, req []byte) (*wire, error)
 		return m, nil
 	case statusBusy:
 		depth := int(m.rdU32())
-		backend := ""
-		if m.err == nil && m.pos+2 <= len(m.buf) {
-			// Optional tail: the rejecting backend's name (older v2
-			// peers omit it).
-			backend = m.rdStr()
-		}
 		met.Request(opName(req), len(req), len(resp), true)
 		if m.err != nil {
 			return nil, r.lost(ctx, "decode", m.err)
 		}
-		// The server shed the request; the connection stays good. The
-		// rejection depth is also the freshest load advertisement.
-		r.advDepth, r.advOK = depth, true
-		return nil, &BusyError{QueueDepth: depth, Backend: backend}
+		// The server shed the request; the connection stays good.
+		return nil, &BusyError{QueueDepth: depth}
 	default:
 		msg := m.rdStr()
 		met.Request(opName(req), len(req), len(resp), true)

@@ -14,16 +14,16 @@ import (
 // drown the fuzzer in setup work.
 var (
 	fuzzOnce sync.Once
-	fuzzSrv  *SessionServer
+	fuzzSrv  *sessionServer
 )
 
-func fuzzServerInstance() *SessionServer {
+func fuzzServerInstance() *sessionServer {
 	fuzzOnce.Do(func() {
 		p, err := lang.Compile(testAppSrc)
 		if err != nil {
 			panic(err)
 		}
-		fuzzSrv = NewSessionServer(NewServer(p), SessionConfig{})
+		fuzzSrv = newSessionServer(NewServer(p), SessionConfig{})
 	})
 	return fuzzSrv
 }

@@ -27,7 +27,7 @@ func startTCPServer(t *testing.T, s *Server) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go Serve(l, s) //nolint:errcheck // returns when the listener closes
+	go NewTCPServer(s, SessionConfig{}).Serve(l) //nolint:errcheck // returns when the listener closes
 	return l.Addr().String()
 }
 
@@ -376,7 +376,7 @@ func TestMidCallResetReconnects(t *testing.T) {
 			if err != nil {
 				return
 			}
-			go NewTCPServer(s).serveConn(c2)
+			go NewTCPServer(s, SessionConfig{}).serveConn(c2)
 		}
 	}()
 
@@ -438,7 +438,7 @@ func TestRPCDeadlineOnStalledServer(t *testing.T) {
 // ErrServerClosed, closes live connections, and drains handlers.
 func TestTCPServerGracefulShutdown(t *testing.T) {
 	p := testProgram(t)
-	ts := NewTCPServer(NewServer(p))
+	ts := NewTCPServer(NewServer(p), SessionConfig{})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !b.RecordSuccess() {
 		t.Error("successful probe should report the close transition")
 	}
-	if b.State() != BreakerClosed || b.ConsecutiveLosses() != 0 {
+	if b.State() != BreakerClosed || b.consecutive != 0 {
 		t.Error("breaker should be closed with the loss run reset")
 	}
 }
@@ -309,7 +309,7 @@ func TestFaultsStrictlyIncreaseCost(t *testing.T) {
 func TestStatsCarryRadioTelemetry(t *testing.T) {
 	p := testProgram(t)
 	c := newTestClient(t, p, StrategyR, radio.Fixed{Cls: radio.Class4}, workTarget())
-	c.Link.Fault = radio.ResponseLoss{P: 0.5}
+	c.Link.Fault = radio.IIDLoss{P: 0.5}
 	for i := 0; i < 6; i++ {
 		c.NewExecution()
 		if _, err := c.Invoke(context.Background(), "App", "work", []vm.Slot{vm.IntSlot(150)}); err != nil {
@@ -324,7 +324,7 @@ func TestStatsCarryRadioTelemetry(t *testing.T) {
 		t.Errorf("Stats.Radio %+v diverges from the link %+v", tel, c.Link.Telemetry())
 	}
 	if tel.Losses == 0 {
-		t.Error("expected losses under a 50% response-loss fault")
+		t.Error("expected losses under a 50% loss fault")
 	}
 }
 
@@ -334,7 +334,7 @@ func TestDeterministicUnderFaults(t *testing.T) {
 	p := testProgram(t)
 	run := func() (energy.Joules, energy.Seconds, Stats) {
 		c := newTestClient(t, p, StrategyAA, radio.UniformChannel(rng.New(5)), workTarget())
-		c.Link.Fault = radio.Compose(radio.NewGilbertElliott(0.3, 4), radio.SlowServer{P: 0.1, Stall: 0.05})
+		c.Link.Fault = radio.NewGilbertElliott(0.3, 4)
 		for i := 0; i < 15; i++ {
 			c.NewExecution()
 			if _, err := c.Invoke(context.Background(), "App", "work", []vm.Slot{vm.IntSlot(int32(100 + 50*i))}); err != nil {

@@ -12,14 +12,15 @@ import (
 )
 
 // The session layer multiplexes many clients onto one Server. Each
-// client holds a Session (identified by the session ID carried in the
-// wire protocol) with its own serialization cache; the SessionServer
-// in front of them owns admission control — a bounded worker pool plus
-// a bounded waiting queue — so a fleet of handsets contending for
+// client holds a Session with its own serialization cache. Admission
+// control — a bounded worker pool plus a bounded waiting queue — sits
+// in front of the sessions, so a fleet of handsets contending for
 // offload service degrades by shedding requests with a typed busy
-// error instead of queueing without bound. Clients price that error
-// into their offload decision (see Client.RemoteEnergy), so an
-// overloaded server observably pushes work back to local execution.
+// error instead of queueing without bound. The TCP server admits in
+// real time (sessionServer below); the fleet simulator admits in
+// virtual time (internal/fleet). Clients price the busy error into
+// their offload decision (see Client.RemoteEnergy), so an overloaded
+// server observably pushes work back to local execution.
 
 // ErrServerBusy is the sentinel for admission-control rejections: the
 // server's worker pool and waiting queue were full. Transports wrap it
@@ -51,7 +52,7 @@ func (e *BusyError) Error() string {
 // Unwrap makes errors.Is(err, ErrServerBusy) hold.
 func (e *BusyError) Unwrap() error { return ErrServerBusy }
 
-// SessionConfig shapes a SessionServer's admission control.
+// SessionConfig shapes a server's admission control.
 type SessionConfig struct {
 	// Workers bounds concurrently executing requests; 0 means
 	// DefaultWorkers.
@@ -61,10 +62,6 @@ type SessionConfig struct {
 	// BusyError. 0 means DefaultQueueCap; negative means no waiting at
 	// all (every request beyond the workers is shed).
 	QueueCap int
-	// Backend names this server within a pool; "" for a standalone
-	// server. Carried on busy rejections (BusyError.Backend) and wire
-	// busy frames so clients attribute sheds to the right backend.
-	Backend string
 }
 
 // The admission defaults: a small worker pool, matching the paper's
@@ -74,7 +71,9 @@ const (
 	DefaultQueueCap = 16
 )
 
-func (cfg SessionConfig) withDefaults() SessionConfig {
+// WithDefaults resolves the zero values to the defaults and a negative
+// QueueCap to 0, the queue length every admission policy then uses.
+func (cfg SessionConfig) WithDefaults() SessionConfig {
 	if cfg.Workers <= 0 {
 		cfg.Workers = DefaultWorkers
 	}
@@ -87,11 +86,10 @@ func (cfg SessionConfig) withDefaults() SessionConfig {
 	return cfg
 }
 
-// SessionServerStats is a snapshot of a SessionServer's admission
+// sessionServerStats is a snapshot of a sessionServer's admission
 // counters.
-type SessionServerStats struct {
-	// Sessions is the number of sessions the server has opened,
-	// including sessions since retired by Close.
+type sessionServerStats struct {
+	// Sessions is the number of sessions the server has opened.
 	Sessions int
 	// Served counts requests that obtained a worker; Shed counts
 	// admission rejections; CacheHits counts requests answered from a
@@ -103,9 +101,9 @@ type SessionServerStats struct {
 	MaxQueueDepth int
 }
 
-// SessionServer fronts a Server with per-client sessions and admission
-// control. It is safe for concurrent use.
-type SessionServer struct {
+// sessionServer is the TCP server's real-time admission control in
+// front of a Server's sessions. It is safe for concurrent use.
+type sessionServer struct {
 	srv *Server
 	cfg SessionConfig
 
@@ -124,107 +122,81 @@ type SessionServer struct {
 	served   int
 	shed     int
 	maxDepth int
-
-	// Retired-session residue: city-scale fleets close each session as
-	// its client finishes (see Close), so the live maps stay small while
-	// the aggregate counters keep the whole run's history.
-	closed       int
-	retainedHits int
 }
 
-// NewSessionServer wraps a Server with sessions and admission control.
-func NewSessionServer(s *Server, cfg SessionConfig) *SessionServer {
-	return &SessionServer{
+func newSessionServer(s *Server, cfg SessionConfig) *sessionServer {
+	return &sessionServer{
 		srv:      s,
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg.WithDefaults(),
 		sessions: map[uint32]*Session{},
 		byClient: map[string]uint32{},
 		waiters:  map[uint32][]chan struct{}{},
 	}
 }
 
-// Server returns the wrapped Server.
-func (t *SessionServer) Server() *Server { return t.srv }
-
-// Backend returns the server's pool name ("" when standalone).
-func (t *SessionServer) Backend() string { return t.cfg.Backend }
-
-// QueueDepth is the current number of requests waiting for a worker —
-// the load signal the wire protocol advertises on hello and busy
-// frames for power-of-two-choices placement.
-func (t *SessionServer) QueueDepth() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.waiting
-}
-
-// Open returns the client's session, creating it on first use.
+// open returns the client's session, creating it on first use.
 // Sessions are keyed by client ID, so a client that reconnects (the
 // TCP transport re-dials after a broken connection) reattaches to its
 // session — and keeps its serialization cache — instead of leaking a
 // new one per connection.
-func (t *SessionServer) Open(clientID string) *Session {
+func (t *sessionServer) open(clientID string) *Session {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if id, ok := t.byClient[clientID]; ok {
 		return t.sessions[id]
 	}
 	t.nextID++
-	s := &Session{t: t, ID: t.nextID, ClientID: clientID}
+	s := NewSession(t.srv)
+	s.ID = t.nextID
 	t.sessions[s.ID] = s
 	t.byClient[clientID] = s.ID
 	return s
 }
 
-// Close retires the client's session: it is removed from the live
-// maps (so a fleet of 100k finished handsets does not stay resident)
-// and its cache-hit count folds into the server's retained aggregate,
-// which Stats keeps reporting. Closing an unknown client is a no-op;
-// a later Open for the same client starts a fresh session with a cold
-// cache.
-func (t *SessionServer) Close(clientID string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	id, ok := t.byClient[clientID]
-	if !ok {
-		return
-	}
-	s := t.sessions[id]
-	delete(t.sessions, id)
-	delete(t.byClient, clientID)
-	t.closed++
-	t.retainedHits += s.cacheHitCount()
-}
-
-// Lookup returns the session with the given ID, or nil.
-func (t *SessionServer) Lookup(id uint32) *Session {
+// lookup returns the session with the given ID, or nil.
+func (t *sessionServer) lookup(id uint32) *Session {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.sessions[id]
 }
 
-// Stats snapshots the admission counters.
-func (t *SessionServer) Stats() SessionServerStats {
+// stats snapshots the admission counters.
+func (t *sessionServer) stats() sessionServerStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := SessionServerStats{
-		Sessions:      len(t.sessions) + t.closed,
+	st := sessionServerStats{
+		Sessions:      len(t.sessions),
 		Served:        t.served,
 		Shed:          t.shed,
-		CacheHits:     t.retainedHits,
 		MaxQueueDepth: t.maxDepth,
 	}
 	for _, s := range t.sessions {
-		st.CacheHits += s.cacheHitCount()
+		st.CacheHits += s.Stats().CacheHits
 	}
 	return st
+}
+
+// execute admits one request for the session, then runs it: a full
+// queue sheds the request with a BusyError before any server work
+// happens.
+func (t *sessionServer) execute(ctx context.Context, sess *Session, clientID, class, method string, argBytes []byte,
+	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, bool, error) {
+
+	if err := t.acquire(ctx, sess.ID); err != nil {
+		return nil, 0, false, err
+	}
+	defer t.release()
+	t.mu.Lock()
+	t.served++
+	t.mu.Unlock()
+	return sess.Execute(ctx, clientID, class, method, argBytes, reqTime, estEnd)
 }
 
 // acquire admits one request for the session: it grants a worker
 // immediately when one is free and nobody queues ahead, waits in the
 // session's FIFO queue otherwise, and sheds with a BusyError when the
 // queue is full. Waiting respects ctx.
-func (t *SessionServer) acquire(ctx context.Context, sid uint32) error {
+func (t *sessionServer) acquire(ctx context.Context, sid uint32) error {
 	t.mu.Lock()
 	if t.running < t.cfg.Workers && t.waiting == 0 {
 		t.running++
@@ -235,7 +207,7 @@ func (t *SessionServer) acquire(ctx context.Context, sid uint32) error {
 		depth := t.waiting
 		t.shed++
 		t.mu.Unlock()
-		return &BusyError{QueueDepth: depth, Backend: t.cfg.Backend}
+		return &BusyError{QueueDepth: depth}
 	}
 	ch := make(chan struct{})
 	t.waiters[sid] = append(t.waiters[sid], ch)
@@ -280,7 +252,7 @@ func (t *SessionServer) acquire(ctx context.Context, sid uint32) error {
 // release returns a worker, handing it round-robin to the next waiting
 // session's oldest request (fairness across sessions: one grant per
 // session per rotation, however deep its queue).
-func (t *SessionServer) release() {
+func (t *sessionServer) release() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.rr) > 0 {
@@ -303,7 +275,7 @@ func (t *SessionServer) release() {
 
 // dropRR removes sid from the round-robin rotation (its queue emptied
 // through cancellation). Callers hold t.mu.
-func (t *SessionServer) dropRR(sid uint32) {
+func (t *sessionServer) dropRR(sid uint32) {
 	delete(t.waiters, sid)
 	for i, id := range t.rr {
 		if id == sid {
@@ -327,19 +299,25 @@ type cachedResult struct {
 	res []byte
 }
 
-// Session is one client's server-side state: its identity, its
-// serialization cache, and its request counters. It implements Remote,
-// so a client can talk to its session directly in process.
+// Session is one client's server-side state: its serialization cache
+// and its request counters. It implements Remote, so a client can talk
+// to its session directly in process.
 type Session struct {
-	t        *SessionServer
-	ID       uint32
-	ClientID string
+	srv *Server
+	// ID names the session on the wire (0 outside the TCP server).
+	ID uint32
 
 	mu         sync.Mutex
 	cache      []cachedResult
 	cacheBytes int
 	requests   int
 	cacheHits  int
+}
+
+// NewSession opens a client session on srv, with a cold serialization
+// cache.
+func NewSession(srv *Server) *Session {
+	return &Session{srv: srv}
 }
 
 // SessionStats snapshots one session's counters.
@@ -355,34 +333,10 @@ func (s *Session) Stats() SessionStats {
 	return SessionStats{Requests: s.requests, CacheHits: s.cacheHits}
 }
 
-func (s *Session) cacheHitCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cacheHits
-}
-
-// Execute implements Remote: admission control first, then the
-// session-cached execution. A full queue sheds the request with a
-// BusyError before any server work happens.
+// Execute implements Remote: the session cache first, then the
+// Server. It applies no admission control; the caller admits the
+// request first.
 func (s *Session) Execute(ctx context.Context, clientID, class, method string, argBytes []byte,
-	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, bool, error) {
-
-	if err := s.t.acquire(ctx, s.ID); err != nil {
-		return nil, 0, false, err
-	}
-	defer s.t.release()
-	s.t.mu.Lock()
-	s.t.served++
-	s.t.mu.Unlock()
-	return s.ExecuteDirect(ctx, clientID, class, method, argBytes, reqTime, estEnd)
-}
-
-// ExecuteDirect runs the request without admission control — the
-// session cache plus the wrapped Server. Simulation harnesses that
-// model admission in virtual time (internal/fleet) call this after
-// their own admission decision; the TCP path always goes through
-// Execute.
-func (s *Session) ExecuteDirect(ctx context.Context, clientID, class, method string, argBytes []byte,
 	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, bool, error) {
 
 	if ctx != nil {
@@ -400,27 +354,33 @@ func (s *Session) ExecuteDirect(ctx context.Context, clientID, class, method str
 			s.mu.Unlock()
 			// A cache hit skips execution: only the dispatch overhead
 			// is spent, and the mobile status table still advances.
-			servTime := s.t.srv.RequestOverhead
-			queued := s.t.srv.noteRequest(clientID, reqTime, estEnd, servTime, res)
+			servTime := s.srv.RequestOverhead
+			queued := s.srv.noteRequest(clientID, reqTime, estEnd, servTime, res)
 			return res, servTime, queued, nil
 		}
 	}
 	s.mu.Unlock()
 
-	res, servTime, queued, err := s.t.srv.Execute(ctx, clientID, class, method, argBytes, reqTime, estEnd)
+	res, servTime, queued, err := s.srv.Execute(ctx, clientID, class, method, argBytes, reqTime, estEnd)
 	if err != nil {
 		return nil, 0, false, err
 	}
 	s.mu.Lock()
 	s.cache = append(s.cache, cachedResult{key: key, res: res})
 	s.cacheBytes += len(key) + len(res)
+	s.trim()
+	s.mu.Unlock()
+	return res, servTime, queued, nil
+}
+
+// trim evicts the oldest cache entries until the cache is within its
+// bounds. Callers hold s.mu.
+func (s *Session) trim() {
 	for (len(s.cache) > sessionCacheMaxEntries || s.cacheBytes > sessionCacheMaxBytes) && len(s.cache) > 0 {
 		old := s.cache[0]
 		s.cache = s.cache[1:]
 		s.cacheBytes -= len(old.key) + len(old.res)
 	}
-	s.mu.Unlock()
-	return res, servTime, queued, nil
 }
 
 // WarmFrom copies the other session's serialization-cache entries into
@@ -454,11 +414,7 @@ func (s *Session) WarmFrom(o *Session) int {
 		have[ent.key] = true
 		copied++
 	}
-	for (len(s.cache) > sessionCacheMaxEntries || s.cacheBytes > sessionCacheMaxBytes) && len(s.cache) > 0 {
-		old := s.cache[0]
-		s.cache = s.cache[1:]
-		s.cacheBytes -= len(old.key) + len(old.res)
-	}
+	s.trim()
 	return copied
 }
 
@@ -466,7 +422,7 @@ func (s *Session) WarmFrom(o *Session) int {
 // traffic served from the Server's shared body cache, not subject to
 // execution admission.
 func (s *Session) CompiledBody(ctx context.Context, qname string, level jit.Level) (*isa.Code, int, error) {
-	return s.t.srv.CompiledBody(ctx, qname, level)
+	return s.srv.CompiledBody(ctx, qname, level)
 }
 
 var _ Remote = (*Session)(nil)

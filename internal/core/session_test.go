@@ -17,9 +17,9 @@ import (
 	"greenvm/internal/vm"
 )
 
-// waitQueued spins until the SessionServer's waiting count reaches n
+// waitQueued spins until the sessionServer's waiting count reaches n
 // (the enqueue happens in another goroutine).
-func waitQueued(t *testing.T, ss *SessionServer, n int) {
+func waitQueued(t *testing.T, ss *sessionServer, n int) {
 	t.Helper()
 	for i := 0; i < 1e7; i++ {
 		ss.mu.Lock()
@@ -38,7 +38,7 @@ func waitQueued(t *testing.T, ss *SessionServer, n int) {
 // carrying the queue depth.
 func TestSessionAdmissionShedsWhenFull(t *testing.T) {
 	p := testProgram(t)
-	ss := NewSessionServer(NewServer(p), SessionConfig{Workers: 1, QueueCap: 1})
+	ss := newSessionServer(NewServer(p), SessionConfig{Workers: 1, QueueCap: 1})
 	if err := ss.acquire(nil, 1); err != nil {
 		t.Fatalf("first request should grab the free worker: %v", err)
 	}
@@ -61,7 +61,7 @@ func TestSessionAdmissionShedsWhenFull(t *testing.T) {
 	}
 	ss.release()
 
-	st := ss.Stats()
+	st := ss.stats()
 	if st.Shed != 1 || st.MaxQueueDepth != 1 {
 		t.Errorf("stats %+v, want Shed=1 MaxQueueDepth=1", st)
 	}
@@ -71,7 +71,7 @@ func TestSessionAdmissionShedsWhenFull(t *testing.T) {
 // starve others — grants rotate across sessions, one per turn.
 func TestSessionAdmissionRoundRobin(t *testing.T) {
 	p := testProgram(t)
-	ss := NewSessionServer(NewServer(p), SessionConfig{Workers: 1, QueueCap: 4})
+	ss := newSessionServer(NewServer(p), SessionConfig{Workers: 1, QueueCap: 4})
 	if err := ss.acquire(nil, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestSessionAdmissionRoundRobin(t *testing.T) {
 // leaves the queue, and the rotation forgets its session.
 func TestSessionAdmissionCancelledWaiter(t *testing.T) {
 	p := testProgram(t)
-	ss := NewSessionServer(NewServer(p), SessionConfig{Workers: 1, QueueCap: 4})
+	ss := newSessionServer(NewServer(p), SessionConfig{Workers: 1, QueueCap: 4})
 	if err := ss.acquire(nil, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSessionAdmissionCancelledWaiter(t *testing.T) {
 // the connection survives it.
 func TestBusyOverTCP(t *testing.T) {
 	p := testProgram(t)
-	srv := NewSessionTCPServer(NewSessionServer(NewServer(p), SessionConfig{Workers: 1, QueueCap: -1}))
+	srv := NewTCPServer(NewServer(p), SessionConfig{Workers: 1, QueueCap: -1})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestBusyOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pin the single worker so the RPC is shed.
-	ss := srv.Sessions()
+	ss := srv.s
 	if err := ss.acquire(nil, 999); err != nil {
 		t.Fatal(err)
 	}
@@ -172,64 +172,12 @@ func TestBusyOverTCP(t *testing.T) {
 	}
 }
 
-// TestWireAdvertisesDepthAndBackend: the v2 hello response carries the
-// server's queue depth and pool backend name — the client caches both
-// after the dial-time probe — and a busy rejection names the backend
-// that shed, so multi-backend clients attribute the busy signal to the
-// right EWMA.
-func TestWireAdvertisesDepthAndBackend(t *testing.T) {
-	p := testProgram(t)
-	srv := NewSessionTCPServer(NewSessionServer(NewServer(p),
-		SessionConfig{Workers: 1, QueueCap: -1, Backend: "s7"}))
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l) //nolint:errcheck
-	defer srv.Close()
-
-	remote, err := DialServer(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-
-	// The dial-time hello probe already advertised.
-	if depth, ok := remote.AdvertisedDepth(); !ok || depth != 0 {
-		t.Errorf("AdvertisedDepth = (%d, %v) after dial, want (0, true)", depth, ok)
-	}
-	if id := remote.BackendID(); id != "s7" {
-		t.Errorf("BackendID = %q, want s7", id)
-	}
-
-	// A shed RPC carries the backend name in its busy frame.
-	m := p.FindMethod("App", "work")
-	v := vm.New(p, energy.MicroSPARCIIep())
-	argBytes, err := v.Heap.EncodeArgs(m, []vm.Slot{vm.IntSlot(150)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := srv.Sessions()
-	if err := ss.acquire(nil, 999); err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, err = remote.Execute(context.Background(), "c", "App", "work", argBytes, 0, 0)
-	var busy *BusyError
-	if !errors.As(err, &busy) {
-		t.Fatalf("shed RPC returned %v, want a BusyError", err)
-	}
-	if busy.Backend != "s7" {
-		t.Errorf("busy frame carried backend %q, want s7", busy.Backend)
-	}
-	ss.release()
-}
-
 // TestProtocolVersionMismatch is the table-driven handshake check:
 // frames stamped with a foreign protocol version are rejected with a
 // failure frame naming both versions, and the connection is closed.
 func TestProtocolVersionMismatch(t *testing.T) {
 	p := testProgram(t)
-	srv := NewTCPServer(NewServer(p))
+	srv := NewTCPServer(NewServer(p), SessionConfig{})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +313,7 @@ func TestBusyPricedIntoOffloadDecision(t *testing.T) {
 		if c.Stats.Sheds != i {
 			t.Fatalf("after %d busy replies Stats.Sheds = %d", i, c.Stats.Sheds)
 		}
-		if r := c.BusyRate(); r <= lastRate {
+		if r := c.busyRates[""]; r <= lastRate {
 			t.Fatalf("busy rate %v did not grow past %v", r, lastRate)
 		} else {
 			lastRate = r
@@ -389,7 +337,7 @@ func TestBusyPricedIntoOffloadDecision(t *testing.T) {
 
 	// Successful exchanges decay the estimate back down.
 	c.noteRemoteSuccess()
-	if c.BusyRate() >= lastRate {
-		t.Errorf("busy rate %v did not decay after a success", c.BusyRate())
+	if c.busyRates[""] >= lastRate {
+		t.Errorf("busy rate %v did not decay after a success", c.busyRates[""])
 	}
 }

@@ -88,13 +88,9 @@ func MeasureSpeedups(envs []*Env) map[string]float64 {
 	return out
 }
 
-// MeasureClaims produces the full claims report given Fig 7 results.
-func MeasureClaims(envs []*Env, fig7 *Fig7Result, seed uint64) (*Claims, error) {
-	return MeasureClaimsOn(nil, envs, fig7, seed)
-}
-
-// MeasureClaimsOn produces the claims report with the estimator
-// validation sharded across the runner.
+// MeasureClaimsOn produces the full claims report given Fig 7
+// results, with the estimator validation sharded across the runner (a
+// nil runner runs serially).
 func MeasureClaimsOn(r *Runner, envs []*Env, fig7 *Fig7Result, seed uint64) (*Claims, error) {
 	c := &Claims{Speedups: MeasureSpeedups(envs)}
 	var err error

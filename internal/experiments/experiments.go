@@ -46,14 +46,9 @@ func Prepare(a *apps.App, seed uint64) (*Env, error) {
 	return &Env{App: a, Prog: prog, Target: target, Prof: prof}, nil
 }
 
-// PrepareAll prepares a set of applications.
-func PrepareAll(list []*apps.App, seed uint64) ([]*Env, error) {
-	return PrepareAllOn(nil, list, seed)
-}
-
 // PrepareAllOn prepares a set of applications, profiling them in
 // parallel on the runner (each app gets its own fresh Program, so
-// preparations are independent).
+// preparations are independent; a nil runner runs serially).
 func PrepareAllOn(r *Runner, list []*apps.App, seed uint64) ([]*Env, error) {
 	envs := make([]*Env, len(list))
 	err := r.Do(len(list), func(i int) error {

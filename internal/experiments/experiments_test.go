@@ -20,7 +20,7 @@ func testEnvs(t *testing.T) []*Env {
 		return cachedEnvs
 	}
 	list := []*apps.App{apps.FE(), apps.Sort()}
-	envs, err := PrepareAll(list, 42)
+	envs, err := PrepareAllOn(nil, list, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func testEnvs(t *testing.T) []*Env {
 
 func TestFig6Shapes(t *testing.T) {
 	envs := testEnvs(t)
-	bars, err := RunFig6(envs[:1], 42) // fe only
+	bars, err := RunFig6On(nil, envs[:1], 42) // fe only
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFig6Shapes(t *testing.T) {
 func TestFig7ShapesAndDeterminism(t *testing.T) {
 	envs := testEnvs(t)
 	const runs = 40
-	res, err := RunFig7(envs, runs, 42)
+	res, err := RunFig7On(nil, envs, runs, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestFig7ShapesAndDeterminism(t *testing.T) {
 	if testing.Short() {
 		return
 	}
-	res2, err := RunFig7(envs, runs, 42)
+	res2, err := RunFig7On(nil, envs, runs, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestFig7NormalizedBitStable(t *testing.T) {
 
 func TestFig8Shapes(t *testing.T) {
 	envs := testEnvs(t)
-	rows, err := RunFig8(envs)
+	rows, err := RunFig8On(nil, envs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +177,11 @@ func TestFig8Shapes(t *testing.T) {
 
 func TestClaims(t *testing.T) {
 	envs := testEnvs(t)
-	fig7, err := RunFig7(envs, 30, 42)
+	fig7, err := RunFig7On(nil, envs, 30, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := MeasureClaims(envs, fig7, 43)
+	c, err := MeasureClaimsOn(nil, envs, fig7, 43)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestRenderersSmoke(t *testing.T) {
 	}
 
 	envs := testEnvs(t)
-	bars, err := RunFig6(envs[:1], 42)
+	bars, err := RunFig6On(nil, envs[:1], 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestRenderersSmoke(t *testing.T) {
 		t.Error("Fig 6 header missing")
 	}
 
-	fig7, err := RunFig7(envs, 10, 42)
+	fig7, err := RunFig7On(nil, envs, 10, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestRenderersSmoke(t *testing.T) {
 		t.Error("Fig 7 summary missing")
 	}
 
-	rows, err := RunFig8(envs)
+	rows, err := RunFig8On(nil, envs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestRenderersSmoke(t *testing.T) {
 		t.Error("Fig 8 header missing")
 	}
 
-	claims, err := MeasureClaims(envs, fig7, 44)
+	claims, err := MeasureClaimsOn(nil, envs, fig7, 44)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestExtensionSweeps(t *testing.T) {
 	envs := testEnvs(t)
 	fe := envs[0]
 
-	pts, err := RunMarkovSweep(fe, 20, 42)
+	pts, err := RunMarkovSweepOn(nil, fe, 20, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestExtensionSweeps(t *testing.T) {
 		}
 	}
 
-	tps, err := RunTrackerErrorSweep(fe, 20, 42)
+	tps, err := RunTrackerErrorSweepOn(nil, fe, 20, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestExtensionSweeps(t *testing.T) {
 		t.Errorf("noisy tracker cheaper than exact: %+v", tps)
 	}
 
-	rows, err := RunBreakdown(fe, 15, 42)
+	rows, err := RunBreakdownOn(nil, fe, 15, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestExtensionSweeps(t *testing.T) {
 
 func TestCodeCacheSweep(t *testing.T) {
 	envs := testEnvs(t)
-	pts, err := RunCodeCacheSweep(envs[1], 20, 42) // sort: biggest plan
+	pts, err := RunCodeCacheSweepOn(nil, envs[1], 20, 42) // sort: biggest plan
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,14 +64,9 @@ func runSequence(env *Env, strategy core.Strategy, ch radio.Channel, runs int, s
 // paper's i.i.d. draw, 0.9 = strongly correlated fading).
 var markovStays = []float64{0.0, 0.3, 0.6, 0.9}
 
-// RunMarkovSweep measures AL (and R, L2 baselines) under Markov
-// channels of varying temporal correlation.
-func RunMarkovSweep(env *Env, runs int, seed uint64) ([]MarkovPoint, error) {
-	return RunMarkovSweepOn(nil, env, runs, seed)
-}
-
-// RunMarkovSweepOn runs the sweep's (stay probability × strategy)
-// measurements sharded across the runner.
+// RunMarkovSweepOn measures AL (and R, L2 baselines) under Markov
+// channels of varying temporal correlation, the sweep's (stay
+// probability × strategy) measurements sharded across the runner.
 func RunMarkovSweepOn(r *Runner, env *Env, runs int, seed uint64) ([]MarkovPoint, error) {
 	strats := []core.Strategy{core.StrategyL2, core.StrategyAL, core.StrategyR}
 	raw := make([]float64, len(markovStays)*len(strats))
@@ -120,14 +115,10 @@ type TrackerPoint struct {
 // trackerErrProbs are the sweep's per-estimate error probabilities.
 var trackerErrProbs = []float64{0, 0.1, 0.25, 0.5}
 
-// RunTrackerErrorSweep measures AL as the pilot tracker's estimate
-// gets noisier (wrong by one class with the given probability).
-func RunTrackerErrorSweep(env *Env, runs int, seed uint64) ([]TrackerPoint, error) {
-	return RunTrackerErrorSweepOn(nil, env, runs, seed)
-}
-
-// RunTrackerErrorSweepOn runs the sweep's points sharded across the
-// runner; normalization to the error-free point happens afterwards.
+// RunTrackerErrorSweepOn measures AL as the pilot tracker's estimate
+// gets noisier (wrong by one class with the given probability). The
+// sweep's points are sharded across the runner; normalization to the
+// error-free point happens afterwards.
 func RunTrackerErrorSweepOn(r *Runner, env *Env, runs int, seed uint64) ([]TrackerPoint, error) {
 	raw := make([]float64, len(trackerErrProbs))
 	falls := make([]int, len(trackerErrProbs))
@@ -175,14 +166,8 @@ type ComponentBreakdown struct {
 	Share    map[string]float64
 }
 
-// RunBreakdown measures the component shares of each strategy over a
-// uniform scenario.
-func RunBreakdown(env *Env, runs int, seed uint64) ([]ComponentBreakdown, error) {
-	return RunBreakdownOn(nil, env, runs, seed)
-}
-
-// RunBreakdownOn measures the component shares with one strategy per
-// runner job.
+// RunBreakdownOn measures the component shares of each strategy over a
+// uniform scenario, one strategy per runner job.
 func RunBreakdownOn(r *Runner, env *Env, runs int, seed uint64) ([]ComponentBreakdown, error) {
 	out := make([]ComponentBreakdown, len(core.Strategies))
 	err := r.Do(len(core.Strategies), func(i int) error {
@@ -246,18 +231,13 @@ type CachePoint struct {
 // cacheSizes are the sweep's code-cache budgets (0 = unlimited).
 var cacheSizes = []int{0, 4096, 1024, 256}
 
-// RunCodeCacheSweep measures AL as the client's code cache shrinks:
+// RunCodeCacheSweepOn measures AL as the client's code cache shrinks:
 // the paper's memory-footprint tradeoff ("compilation ... requires
 // additional memory footprint for storing the compiled code"). With a
 // tight cache, bodies are evicted between invocations and
 // re-compilation (or re-download) eats into the compiled modes'
-// advantage.
-func RunCodeCacheSweep(env *Env, runs int, seed uint64) ([]CachePoint, error) {
-	return RunCodeCacheSweepOn(nil, env, runs, seed)
-}
-
-// RunCodeCacheSweepOn runs the sweep's points sharded across the
-// runner; normalization to the unlimited cache happens afterwards.
+// advantage. The sweep's points are sharded across the runner;
+// normalization to the unlimited cache happens afterwards.
 func RunCodeCacheSweepOn(r *Runner, env *Env, runs int, seed uint64) ([]CachePoint, error) {
 	raw := make([]float64, len(cacheSizes))
 	evs := make([]int, len(cacheSizes))
@@ -335,17 +315,13 @@ func resilienceCells() [][2]float64 {
 	return cells
 }
 
-// RunResilienceSweep measures how the strategies degrade under burst
+// RunResilienceSweepOn measures how the strategies degrade under burst
 // outages: static R keeps paying for losses while the adaptive
 // strategies (retries, circuit breaker, remote taken off the table
-// while Down) degrade toward the best local mode.
-func RunResilienceSweep(env *Env, runs int, seed uint64) ([]ResiliencePoint, error) {
-	return RunResilienceSweepOn(nil, env, runs, seed)
-}
-
-// RunResilienceSweepOn runs the sweep's (cell × strategy) grid sharded
-// across the runner. Every cell builds its own client with its own
-// seeded fault process, so parallel and serial runs are identical.
+// while Down) degrade toward the best local mode. The (cell ×
+// strategy) grid is sharded across the runner; every cell builds its
+// own client with its own seeded fault process, so parallel and
+// serial runs are identical.
 func RunResilienceSweepOn(r *Runner, env *Env, runs int, seed uint64) ([]ResiliencePoint, error) {
 	cells := resilienceCells()
 	strats := []core.Strategy{core.StrategyL2, core.StrategyR, core.StrategyAL, core.StrategyAA}

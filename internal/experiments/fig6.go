@@ -27,18 +27,13 @@ type Fig6Bar struct {
 	Normalizer energy.Joules    // the L1 energy bars are normalized by
 }
 
-// RunFig6 measures the static strategies on the given prepared apps
-// at their small and large input sizes.
-func RunFig6(envs []*Env, seed uint64) ([]Fig6Bar, error) {
-	return RunFig6On(nil, envs, seed)
-}
-
 // fig6PerBar is the number of measurements behind one Fig 6 bar
 // group: remote under the four channel classes, the interpreter, and
 // the three compiled levels.
 const fig6PerBar = 8
 
-// RunFig6On measures the static strategies with the bar measurements
+// RunFig6On measures the static strategies on the given prepared apps
+// at their small and large input sizes, with the bar measurements
 // sharded across the runner: each (app, size, strategy/class) cell
 // builds its own client and writes one slot of its bar.
 func RunFig6On(r *Runner, envs []*Env, seed uint64) ([]Fig6Bar, error) {

@@ -65,12 +65,14 @@ func (s Situation) sizeWeights(n int) []float64 {
 }
 
 // Fig7Cell is one (app, situation, strategy) scenario outcome.
+// MemoHits counts host-side replays, not simulated behaviour, so it
+// stays out of the JSON encoding.
 type Fig7Cell struct {
 	Energy     energy.Joules
 	Time       energy.Seconds
 	ModeCounts [core.NumModes]int
 	Fallbacks  int
-	MemoHits   int
+	MemoHits   int `json:"-"`
 }
 
 // Fig7Result holds the full Fig 7 dataset.
@@ -132,15 +134,10 @@ func runScenarioWith(env *Env, sit Situation, strategy core.Strategy, runs int, 
 	}, nil
 }
 
-// RunFig7 runs all situations and strategies over the prepared apps.
-func RunFig7(envs []*Env, runs int, seed uint64) (*Fig7Result, error) {
-	return RunFig7On(nil, envs, runs, seed)
-}
-
 // RunFig7On runs the full (situation × strategy × app) grid with the
 // cells sharded across the runner. Every cell derives its RNGs from
-// the same per-situation seed the serial run uses and writes to its
-// own slot, so the result is identical to RunFig7's.
+// its per-situation seed and writes to its own slot, so the result is
+// the same for any number of workers (a nil runner runs serially).
 func RunFig7On(r *Runner, envs []*Env, runs int, seed uint64) (*Fig7Result, error) {
 	res := &Fig7Result{Runs: runs}
 	nStrat := len(core.Strategies)

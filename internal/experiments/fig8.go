@@ -24,14 +24,10 @@ type Fig8Row struct {
 	Methods int
 }
 
-// RunFig8 computes compilation energies for the prepared apps from
-// the profiled compile costs and code sizes.
-func RunFig8(envs []*Env) ([]Fig8Row, error) {
-	return RunFig8On(nil, envs)
-}
-
-// RunFig8On computes the table with apps sharded across the runner
-// (the rows are derived from each app's profile independently).
+// RunFig8On computes compilation energies for the prepared apps from
+// the profiled compile costs and code sizes, with apps sharded across
+// the runner (the rows are derived from each app's profile
+// independently).
 func RunFig8On(r *Runner, envs []*Env) ([]Fig8Row, error) {
 	chip := radio.WCDMA()
 	perApp := make([][]Fig8Row, len(envs))

@@ -13,7 +13,7 @@ func TestResilienceSweepShapes(t *testing.T) {
 		t.Skip("sweeps are slow under -race/-short")
 	}
 	envs := testEnvs(t)
-	pts, err := RunResilienceSweep(envs[0], 20, 42) // fe
+	pts, err := RunResilienceSweepOn(nil, envs[0], 20, 42) // fe
 	if err != nil {
 		t.Fatal(err)
 	}

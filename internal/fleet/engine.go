@@ -22,8 +22,7 @@ import (
 // placed on (the pool's placement policy), which requests obtain one
 // of that backend's workers, which wait in its bounded queue, and
 // which are shed with a BusyError — the same admission policy
-// core.SessionServer applies in real time on the TCP path, per
-// backend.
+// core.TCPServer applies in real time, per backend.
 //
 // Determinism is the point, and it is carried by the event heap.
 // Client goroutines reach the engine in whatever order the Go
@@ -59,8 +58,8 @@ import (
 // Fairness needs no extra machinery here: a handset has at most one
 // outstanding request (its executor blocks on the exchange), so each
 // backend's FIFO queue, filled in event order, grants each session at
-// most one slot per rotation — the same round-robin the SessionServer
-// implements for pipelined transports.
+// most one slot per rotation — the same round-robin core.TCPServer's
+// admission implements for pipelined transports.
 
 // Session lifecycle. Sessions are preallocated for the whole cohort
 // (flat struct-of-arrays storage — a 100k fleet costs one slice), but
@@ -679,7 +678,7 @@ func (e *engine) start(q *request, b *poolBackend, at energy.Seconds) {
 		}
 	}
 	q.sess.home = b.idx
-	res, servTime, queued, err := b.clients[q.sess.idx].ExecuteDirect(context.Background(),
+	res, servTime, queued, err := b.clients[q.sess.idx].Execute(context.Background(),
 		q.clientID, q.class, q.method, q.argBytes, q.t, q.estEnd)
 	if err != nil {
 		q.err = err

@@ -6,8 +6,8 @@
 // Each simulated client is a full core.Client — its own channel
 // trace, fault model, strategy, workload mix and seeded RNG —
 // attached to per-client sessions on every backend of a ServerPool
-// (see pool.go), each backend a core.Server fronted by the session
-// layer's bounded worker pool. Requests map to backends through a
+// (see pool.go), each backend a core.Server behind a bounded worker
+// pool and queue. Requests map to backends through a
 // pluggable placement policy (see placement.go) and contention is
 // resolved in virtual time by an event-driven conservative
 // discrete-event engine (see engine.go), so a fleet run is
@@ -344,7 +344,7 @@ func Run(spec Spec) (*Result, error) {
 		// even when the client errors out, or the engine would wait on
 		// its clock bound forever.
 		g.acquire()
-		pool.openAt(idx, cs.ID)
+		pool.openAt(idx)
 		var acc *clientAcc
 		var opts []core.Option
 		if rec != nil {
@@ -401,7 +401,7 @@ func Run(spec Spec) (*Result, error) {
 		}
 		eng.finish(fs)
 		g.release()
-		pool.release(idx, cs.ID)
+		pool.release(idx)
 		em.emit(idx, cr, acc)
 	}
 	eng.kickoff()
@@ -432,7 +432,7 @@ func Run(spec Spec) (*Result, error) {
 			Served:        b.served,
 			Shed:          b.shed,
 			MaxQueueDepth: b.maxDepth,
-			CacheHits:     b.sess.Stats().CacheHits,
+			CacheHits:     b.cacheHits,
 			Down:          b.down,
 			Chaos:         b.chaos.String(),
 			Flaps:         b.flaps,

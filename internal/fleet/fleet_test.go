@@ -55,7 +55,8 @@ func offloadWorkload(t *testing.T) Workload {
 // a failed client. It also checks the run's conservation laws against
 // the records: every client retires exactly once, Totals equal the
 // records' sums in emission order (energy bit for bit), the clients',
-// the pool's and the backends' served/shed counts agree, and no
+// the pool's and the backends' served/shed counts agree, the
+// sessions' requests and cache hits add up to the pool's, and no
 // backend queue outgrew its cap.
 func runClients(t *testing.T, spec Spec) (*Result, []ClientResult) {
 	t.Helper()
@@ -80,7 +81,7 @@ func runClients(t *testing.T, spec Spec) (*Result, []ClientResult) {
 		pending[pop.ClientAt(i).ID] = true
 	}
 	var sum Totals
-	served, shed := 0, 0
+	served, shed, requests, hits := 0, 0, 0, 0
 	for _, c := range recs {
 		if !pending[c.ID] {
 			t.Fatalf("client %s retired twice or is not in the cohort", c.ID)
@@ -93,14 +94,17 @@ func runClients(t *testing.T, spec Spec) (*Result, []ClientResult) {
 		sum.Fallbacks += c.Stats.Fallbacks
 		served += c.Served
 		shed += c.Shed
+		requests += c.Session.Requests
+		hits += c.Session.CacheHits
 	}
 	if math.Float64bits(float64(res.Totals.Energy)) != math.Float64bits(float64(sum.Energy)) || res.Totals != sum {
 		t.Errorf("totals %+v differ from the records' sums %+v", res.Totals, sum)
 	}
-	bServed, bShed, bDepth := 0, 0, 0
+	bServed, bShed, bDepth, bHits := 0, 0, 0, 0
 	for _, b := range res.Backends {
 		bServed += b.Served
 		bShed += b.Shed
+		bHits += b.CacheHits
 		bDepth = max(bDepth, b.MaxQueueDepth)
 		if b.MaxQueueDepth > res.Server.QueueCap {
 			t.Errorf("backend %s queued %d requests past its cap of %d", b.ID, b.MaxQueueDepth, res.Server.QueueCap)
@@ -114,6 +118,15 @@ func runClients(t *testing.T, spec Spec) (*Result, []ClientResult) {
 	}
 	if bDepth != res.Server.MaxQueueDepth {
 		t.Errorf("pool max queue depth %d, deepest backend %d", res.Server.MaxQueueDepth, bDepth)
+	}
+	// Every served request ran on one of the client's sessions, and
+	// every session's cache hits reach its backend's total when the
+	// client retires.
+	if requests != res.Server.Served {
+		t.Errorf("session requests %d, pool served %d", requests, res.Server.Served)
+	}
+	if hits != res.Server.CacheHits || bHits != res.Server.CacheHits {
+		t.Errorf("cache hits: sessions %d, pool %d, backends %d", hits, res.Server.CacheHits, bHits)
 	}
 	return res, recs
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"sync"
 
 	"greenvm/internal/bytecode"
 	"greenvm/internal/core"
@@ -11,8 +12,8 @@ import (
 )
 
 // ServerPool runs N independent backend servers — each a full
-// core.Server fronted by its own core.SessionServer (own admission
-// queue, own session caches) — behind one placement policy. The
+// core.Server with its own admission queue and its own client
+// sessions — behind one placement policy. The
 // paper's deployment has one resource-rich server; the pool is the
 // fleet-scale shape, where which backend serves a request matters as
 // much as whether one does. Backends are named "s0".."sN-1"; those
@@ -21,6 +22,10 @@ import (
 type ServerPool struct {
 	backends []*poolBackend
 	ids      []string
+
+	// mu guards every backend's cacheHits: clients retire (release)
+	// on their own goroutines.
+	mu sync.Mutex
 }
 
 // poolBackend is one backend server plus the engine's virtual-time
@@ -30,16 +35,17 @@ type ServerPool struct {
 // between backends is visible and placement policies have something
 // to optimize.
 type poolBackend struct {
-	idx  int
-	id   string
-	sess *core.SessionServer
+	idx int
+	id  string
+	srv *core.Server
 	// clients holds one server-side session slot per fleet client,
 	// indexed by client. Slots fill when a client launches (openAt) and
 	// empty when it retires (release), so only live clients hold
-	// server-side state. Session IDs follow launch order, which is not
-	// deterministic — nothing observable derives from them (requests
-	// key on client ID).
+	// server-side state.
 	clients []*core.Session
+	// cacheHits sums the serialization-cache hits of the retired
+	// sessions (under the pool's mu).
+	cacheHits int
 
 	workers  int
 	queueCap int
@@ -85,25 +91,11 @@ func NewServerPool(prog *bytecode.Program, n int, cfg core.SessionConfig, chaos 
 	if n < 1 {
 		n = 1
 	}
-	// Mirror core.SessionConfig's defaulting: 0 means default,
-	// negative queue capacity means no waiting at all.
-	workers, queueCap := cfg.Workers, cfg.QueueCap
-	if workers <= 0 {
-		workers = core.DefaultWorkers
-	}
-	if queueCap == 0 {
-		queueCap = core.DefaultQueueCap
-	}
-	if queueCap < 0 {
-		queueCap = 0
-	}
+	cfg = cfg.WithDefaults()
 	p := &ServerPool{}
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("s%d", i)
-		sess := core.NewSessionServer(core.NewServer(prog), core.SessionConfig{
-			Workers: cfg.Workers, QueueCap: cfg.QueueCap, Backend: id,
-		})
-		b := &poolBackend{idx: i, id: id, sess: sess, workers: workers, queueCap: queueCap}
+		b := &poolBackend{idx: i, id: id, srv: core.NewServer(prog), workers: cfg.Workers, queueCap: cfg.QueueCap}
 		if i < len(chaos) {
 			b.chaos = chaos[i].normalized(i)
 			if b.chaos.LossRate > 0 {
@@ -125,19 +117,21 @@ func (p *ServerPool) alloc(n int) {
 }
 
 // openAt creates client i's session on every backend, at launch time.
-func (p *ServerPool) openAt(i int, clientID string) {
+func (p *ServerPool) openAt(i int) {
 	for _, b := range p.backends {
-		b.clients[i] = b.sess.Open(clientID)
+		b.clients[i] = core.NewSession(b.srv)
 	}
 }
 
-// release retires client i's sessions: the slots empty and each
-// backend folds the session's counters into its retained aggregates,
-// so a finished handset stops costing memory.
-func (p *ServerPool) release(i int, clientID string) {
+// release retires client i's sessions: each backend adds the session's
+// cache hits to its total and empties the slot, so a finished handset
+// stops costing memory.
+func (p *ServerPool) release(i int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for _, b := range p.backends {
+		b.cacheHits += b.clients[i].Stats().CacheHits
 		b.clients[i] = nil
-		b.sess.Close(clientID)
 	}
 }
 
@@ -153,11 +147,14 @@ func (p *ServerPool) sessionStats(clientIdx int) core.SessionStats {
 	return st
 }
 
-// cacheHits sums serialization-cache hits across all backends.
+// cacheHits sums the retired sessions' serialization-cache hits
+// across all backends.
 func (p *ServerPool) cacheHits() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	total := 0
 	for _, b := range p.backends {
-		total += b.sess.Stats().CacheHits
+		total += b.cacheHits
 	}
 	return total
 }

@@ -34,9 +34,6 @@ import (
 type TelemetrySpec struct {
 	// Tick is the window width in virtual seconds (required > 0).
 	Tick energy.Seconds
-	// Windows caps how many windows are retained (oldest evicted
-	// first); 0 keeps the whole run.
-	Windows int
 	// Live, when non-nil, is a registry the engine also updates as it
 	// simulates — the scrape target behind fleetsim -serve-metrics.
 	// Updates go through cached child handles, so the per-event cost is
@@ -70,7 +67,7 @@ type liveHandles struct {
 
 func newTSRec(spec *TelemetrySpec, pool *ServerPool) *tsRec {
 	r := &tsRec{
-		ts:   obs.NewTimeSeries(float64(spec.Tick), spec.Windows),
+		ts:   obs.NewTimeSeries(float64(spec.Tick)),
 		tick: spec.Tick,
 	}
 	for _, id := range pool.ids {
@@ -284,13 +281,11 @@ func (a *clientAcc) Emit(e core.Event) {
 var _ core.EventSink = (*clientAcc)(nil)
 
 // clientFold aggregates client accumulators as their results emit.
-// It writes into its own uncapped window store — never the engine's
-// (which the engine mutates concurrently, and which may evict under a
-// retention cap in a wall-clock-dependent order if folds raced it) —
-// and merges into the engine's series once, post-run. Folds happen in
-// arrival order under the emitter's lock, so every float accumulates
-// in a fixed order and the merged JSONL stays byte-identical across
-// concurrency.
+// It writes into its own window store — never the engine's, which the
+// engine mutates concurrently — and merges into the engine's series
+// once, post-run. Folds happen in arrival order under the emitter's
+// lock, so every float accumulates in a fixed order and the merged
+// JSONL stays byte-identical across concurrency.
 type clientFold struct {
 	ts    *obs.TimeSeries
 	trans []foldTransition
@@ -306,7 +301,7 @@ type foldTransition struct {
 
 func newClientFold(tick energy.Seconds) *clientFold {
 	return &clientFold{
-		ts:    obs.NewTimeSeries(float64(tick), 0),
+		ts:    obs.NewTimeSeries(float64(tick)),
 		names: map[string]string{},
 	}
 }

@@ -18,14 +18,6 @@ const (
 	opAndImm
 )
 
-func isImmForm(op irOp) bool {
-	switch op {
-	case opAddImm, opMulImm, opShlImm, opShrImm, opAndImm:
-		return true
-	}
-	return false
-}
-
 // optimize runs the Level2 pass pipeline and returns pass statistics.
 func optimize(f *fn) optStats {
 	var st optStats

@@ -155,9 +155,6 @@ func DefaultClientHierarchy(model *energy.CPUModel, acct *energy.Account) *Hiera
 	}
 }
 
-// SetAccount redirects future charges to acct.
-func (h *Hierarchy) SetAccount(acct *energy.Account) { h.acct = acct }
-
 // Account returns the account currently being charged.
 func (h *Hierarchy) Account() *energy.Account { return h.acct }
 

@@ -107,18 +107,6 @@ func TestHierarchyChargesMisses(t *testing.T) {
 	}
 }
 
-func TestHierarchySetAccount(t *testing.T) {
-	model := energy.MicroSPARCIIep()
-	a1 := energy.NewAccount(model)
-	a2 := energy.NewAccount(model)
-	h := DefaultClientHierarchy(model, a1)
-	h.SetAccount(a2)
-	h.FetchInstr(CodeBase)
-	if a1.MemAccesses() != 0 || a2.MemAccesses() == 0 {
-		t.Error("charges did not follow SetAccount")
-	}
-}
-
 func TestAllocator(t *testing.T) {
 	a := NewAllocator(0x1000, 0x100)
 	p1 := a.Alloc(10, 8)

@@ -34,7 +34,7 @@ func startObservedServer(t *testing.T) (addr string, srv *core.TCPServer, col *R
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv = core.NewTCPServer(core.NewServer(prog))
+	srv = core.NewTCPServer(core.NewServer(prog), core.SessionConfig{})
 	col = NewRPCCollector(nil)
 	srv.Metrics = col
 	l, err := net.Listen("tcp", "127.0.0.1:0")

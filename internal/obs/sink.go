@@ -50,8 +50,6 @@ type MetricsSink struct {
 	radioExchanges *Counter
 	radioLosses    *Counter
 	radioRetrans   *Counter
-	radioStalls    *Counter
-	radioStallTime *Counter
 	radioTxBytes   *Counter
 	radioRxBytes   *Counter
 
@@ -92,8 +90,6 @@ func NewMetricsSink(reg *Registry) *MetricsSink {
 		radioExchanges: reg.Counter("radio_exchanges_total", "link transfers attempted"),
 		radioLosses:    reg.Counter("radio_losses_total", "transfers lost to the fault process"),
 		radioRetrans:   reg.Counter("radio_retransmits_total", "underpowered transmissions repeated at the true channel class"),
-		radioStalls:    reg.Counter("radio_stalls_total", "losses detected only after a receiver-up wait"),
-		radioStallTime: reg.Counter("radio_stall_seconds_total", "receiver-up time spent detecting stalls"),
 		radioTxBytes:   reg.Counter("radio_bytes_sent_total", "payload bytes transmitted"),
 		radioRxBytes:   reg.Counter("radio_bytes_received_total", "payload bytes received"),
 	}
@@ -201,12 +197,8 @@ func (s *MetricsSink) SyncRadio(tel radio.Telemetry) {
 	d(s.radioExchanges, tel.Exchanges, s.lastRadio.Exchanges)
 	d(s.radioLosses, tel.Losses, s.lastRadio.Losses)
 	d(s.radioRetrans, tel.Retransmits, s.lastRadio.Retransmits)
-	d(s.radioStalls, tel.Stalls, s.lastRadio.Stalls)
 	d(s.radioTxBytes, tel.BytesSent, s.lastRadio.BytesSent)
 	d(s.radioRxBytes, tel.BytesReceived, s.lastRadio.BytesReceived)
-	if dt := float64(tel.StallTime - s.lastRadio.StallTime); dt > 0 {
-		s.radioStallTime.Add(dt)
-	}
 	s.lastRadio = tel
 }
 

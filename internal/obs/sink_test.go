@@ -52,7 +52,7 @@ func TestMetricsSinkRadioDeltas(t *testing.T) {
 		Radio: radio.Telemetry{Exchanges: 2, Losses: 1, BytesSent: 250, BytesReceived: 90}})
 	// Trailing failed exchange: the link advanced but no further event
 	// carried it. SyncRadio folds the final counters in.
-	sink.SyncRadio(radio.Telemetry{Exchanges: 3, Losses: 2, BytesSent: 400, BytesReceived: 90, Stalls: 1, StallTime: 0.25})
+	sink.SyncRadio(radio.Telemetry{Exchanges: 3, Losses: 2, BytesSent: 400, BytesReceived: 90})
 
 	snap := sink.Registry().Snapshot()
 	none := map[string]string{}
@@ -68,11 +68,8 @@ func TestMetricsSinkRadioDeltas(t *testing.T) {
 	if v := counterValue(t, snap, "radio_bytes_received_total", none); v != 90 {
 		t.Errorf("bytes received %g, want 90", v)
 	}
-	if v := counterValue(t, snap, "radio_stall_seconds_total", none); v != 0.25 {
-		t.Errorf("stall seconds %g, want 0.25", v)
-	}
 	// SyncRadio with unchanged telemetry must be a no-op.
-	sink.SyncRadio(radio.Telemetry{Exchanges: 3, Losses: 2, BytesSent: 400, BytesReceived: 90, Stalls: 1, StallTime: 0.25})
+	sink.SyncRadio(radio.Telemetry{Exchanges: 3, Losses: 2, BytesSent: 400, BytesReceived: 90})
 	snap2 := sink.Registry().Snapshot()
 	if v := counterValue(t, snap2, "radio_exchanges_total", none); v != 3 {
 		t.Errorf("idempotent sync changed exchanges to %g", v)

@@ -17,15 +17,13 @@ import (
 // flapping?) and the shape the paper's energy-trajectory argument
 // needs.
 //
-// Windows are kept contiguous: recording into window i materializes
-// every window between the last one and i, so exported series have no
-// gaps and a window's start time is always exactly Index*Tick —
-// computed as a product, never accumulated, so it is bit-identical
-// however the run was scheduled. With a retention cap the oldest
-// windows are evicted from the front (counted, never silently);
-// without one the recorder grows by O(run length / tick), independent
-// of client count — the property that lets a 100k-handset sweep stream
-// through it.
+// Windows are kept contiguous from window 0: recording into window i
+// materializes every window up to i, so exported series have no gaps
+// and a window's start time is always exactly Index*Tick — computed as
+// a product, never accumulated, so it is bit-identical however the run
+// was scheduled. The recorder grows by O(run length / tick),
+// independent of client count — the property that lets a 100k-handset
+// sweep stream through it.
 //
 // A TimeSeries is not safe for concurrent use. The fleet engine writes
 // it from inside the event heap while holding the engine lock, which
@@ -34,14 +32,7 @@ import (
 // request triggered it.
 type TimeSeries struct {
 	tick float64
-	max  int // max retained windows; 0 = unbounded
-
-	base    int64 // index of wins[0]
-	started bool  // base is meaningful (first window materialized)
-	wins    []Window
-
-	evicted int64 // windows dropped from the front under the cap
-	late    int64 // observations for already-evicted windows, dropped
+	wins []Window // wins[i] has index i
 }
 
 // Window is one tick's worth of telemetry. Counters accumulate within
@@ -61,16 +52,12 @@ type Window struct {
 const TimeSeriesSchema = "greenvm-timeseries/1"
 
 // NewTimeSeries returns a recorder with the given tick width in
-// virtual seconds. maxWindows caps retention (oldest evicted first);
-// zero keeps everything.
-func NewTimeSeries(tick float64, maxWindows int) *TimeSeries {
+// virtual seconds.
+func NewTimeSeries(tick float64) *TimeSeries {
 	if tick <= 0 || math.IsInf(tick, 0) || math.IsNaN(tick) {
 		panic(fmt.Sprintf("obs: timeseries tick %g must be a positive finite width", tick))
 	}
-	if maxWindows < 0 {
-		maxWindows = 0
-	}
-	return &TimeSeries{tick: tick, max: maxWindows}
+	return &TimeSeries{tick: tick}
 }
 
 // Tick returns the window width in virtual seconds.
@@ -82,33 +69,18 @@ func (ts *TimeSeries) IndexOf(t float64) int64 {
 	return int64(math.Floor(t / ts.tick))
 }
 
-// windowAt returns the window with index i, materializing (and, under
-// a cap, evicting) as needed. Returns nil for a window already
-// evicted; the observation is counted as late and dropped.
+// windowAt returns the window with index i (non-negative: virtual
+// time starts at 0), materializing windows up to it as needed.
 func (ts *TimeSeries) windowAt(i int64) *Window {
-	if !ts.started {
-		ts.base = i
-		ts.started = true
-	}
-	if i < ts.base {
-		ts.late++
-		return nil
-	}
-	for int64(len(ts.wins)) <= i-ts.base {
-		idx := ts.base + int64(len(ts.wins))
+	for int64(len(ts.wins)) <= i {
+		idx := int64(len(ts.wins))
 		ts.wins = append(ts.wins, Window{
 			Index: idx,
 			Start: float64(idx) * ts.tick,
 			End:   float64(idx+1) * ts.tick,
 		})
 	}
-	if ts.max > 0 && len(ts.wins) > ts.max {
-		drop := len(ts.wins) - ts.max
-		ts.evicted += int64(drop)
-		ts.base += int64(drop)
-		ts.wins = append(ts.wins[:0], ts.wins[drop:]...)
-	}
-	return &ts.wins[i-ts.base]
+	return &ts.wins[i]
 }
 
 // Add accumulates v into the named counter of the window containing
@@ -120,9 +92,6 @@ func (ts *TimeSeries) Add(t float64, name string, v float64) {
 // AddIdx accumulates v into the named counter of window i.
 func (ts *TimeSeries) AddIdx(i int64, name string, v float64) {
 	w := ts.windowAt(i)
-	if w == nil {
-		return
-	}
 	if w.Counters == nil {
 		w.Counters = map[string]float64{}
 	}
@@ -138,25 +107,15 @@ func (ts *TimeSeries) Set(t float64, name string, v float64) {
 // SetIdx records v as the named gauge of window i.
 func (ts *TimeSeries) SetIdx(i int64, name string, v float64) {
 	w := ts.windowAt(i)
-	if w == nil {
-		return
-	}
 	if w.Gauges == nil {
 		w.Gauges = map[string]float64{}
 	}
 	w.Gauges[name] = v
 }
 
-// Windows returns the retained windows, oldest first. The slice and
-// its maps are live; callers must not mutate them.
+// Windows returns the windows, oldest first. The slice and its maps
+// are live; callers must not mutate them.
 func (ts *TimeSeries) Windows() []Window { return ts.wins }
-
-// Late returns how many observations targeted already-evicted windows
-// and were dropped.
-func (ts *TimeSeries) Late() int64 { return ts.late }
-
-// Evicted returns how many windows the retention cap dropped.
-func (ts *TimeSeries) Evicted() int64 { return ts.evicted }
 
 // tsHeader is the first JSONL line: enough for a reader to interpret
 // the windows without out-of-band knowledge.
@@ -164,8 +123,6 @@ type tsHeader struct {
 	Schema  string  `json:"schema"`
 	Tick    float64 `json:"tick"`
 	Windows int     `json:"windows"`
-	Evicted int64   `json:"evicted,omitempty"`
-	Late    int64   `json:"late,omitempty"`
 }
 
 // WriteJSONL writes a header line followed by one JSON object per
@@ -173,10 +130,7 @@ type tsHeader struct {
 // encoding/json sorts map keys.
 func (ts *TimeSeries) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	if err := enc.Encode(tsHeader{
-		Schema: TimeSeriesSchema, Tick: ts.tick,
-		Windows: len(ts.wins), Evicted: ts.evicted, Late: ts.late,
-	}); err != nil {
+	if err := enc.Encode(tsHeader{Schema: TimeSeriesSchema, Tick: ts.tick, Windows: len(ts.wins)}); err != nil {
 		return err
 	}
 	for i := range ts.wins {

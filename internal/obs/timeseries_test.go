@@ -10,7 +10,7 @@ import (
 )
 
 func TestTimeSeriesWindowing(t *testing.T) {
-	ts := NewTimeSeries(0.5, 0)
+	ts := NewTimeSeries(0.5)
 	ts.Add(0.1, "served", 1)
 	ts.Add(0.49, "served", 1)
 	ts.Add(0.5, "served", 1) // boundary: belongs to window 1
@@ -41,29 +41,8 @@ func TestTimeSeriesWindowing(t *testing.T) {
 	}
 }
 
-func TestTimeSeriesEviction(t *testing.T) {
-	ts := NewTimeSeries(1, 3)
-	for i := 0; i < 6; i++ {
-		ts.AddIdx(int64(i), "n", 1)
-	}
-	if got := len(ts.Windows()); got != 3 {
-		t.Fatalf("retained %d windows, want 3", got)
-	}
-	if ts.Windows()[0].Index != 3 {
-		t.Errorf("oldest retained index %d, want 3", ts.Windows()[0].Index)
-	}
-	if ts.Evicted() != 3 {
-		t.Errorf("evicted %d, want 3", ts.Evicted())
-	}
-	// A write into an evicted window is dropped and counted late.
-	ts.AddIdx(0, "n", 1)
-	if ts.Late() != 1 {
-		t.Errorf("late %d, want 1", ts.Late())
-	}
-}
-
 func TestTimeSeriesJSONL(t *testing.T) {
-	ts := NewTimeSeries(0.25, 0)
+	ts := NewTimeSeries(0.25)
 	ts.Add(0.0, SeriesName("served", "backend", "b0"), 3)
 	ts.Add(0.3, "energy_j", 1.5)
 
@@ -115,7 +94,7 @@ func TestTimeSeriesJSONL(t *testing.T) {
 }
 
 func TestTimeSeriesPrometheus(t *testing.T) {
-	ts := NewTimeSeries(1, 0)
+	ts := NewTimeSeries(1)
 	ts.Add(0.5, "served", 2)
 	ts.Add(1.5, SeriesName("served", "backend", "b1"), 7)
 	ts.Set(1.6, "depth", 3)
@@ -186,13 +165,18 @@ func TestHTTPHandlerRoutes(t *testing.T) {
 
 // BenchmarkTimeSeriesAdd is one windowed counter accumulation,
 // including the amortized cost of materializing a new window every
-// 16 adds.
+// 16 adds. A fresh series starts every span windows, so memory stays
+// bounded however large b.N gets.
 func BenchmarkTimeSeriesAdd(b *testing.B) {
-	ts := NewTimeSeries(0.0005, 512)
+	const span = 512
 	name := SeriesName("served", "backend", "s0")
+	var ts *TimeSeries
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ts.AddIdx(int64(i>>4), name, 1)
+		if i%(16*span) == 0 {
+			ts = NewTimeSeries(0.0005)
+		}
+		ts.AddIdx(int64(i>>4)%span, name, 1)
 	}
 }

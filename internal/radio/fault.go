@@ -3,7 +3,6 @@ package radio
 import (
 	"fmt"
 
-	"greenvm/internal/energy"
 	"greenvm/internal/rng"
 )
 
@@ -11,11 +10,9 @@ import (
 // wireless link (§3.2: when the result does not arrive within a time
 // threshold, connectivity is considered lost and execution falls back
 // locally). A single i.i.d. per-transfer coin understates reality —
-// real outages are bursty (shadowing, handoffs), responses are lost
-// after the request already spent transmit energy, and servers stall
-// or crash while the client listens. FaultModel makes the failure
-// process pluggable; every model draws from the link's deterministic
-// rng so seeded experiment grids stay byte-reproducible.
+// real outages are bursty (shadowing, handoffs). FaultModel makes the
+// failure process pluggable; every model draws from the link's
+// deterministic rng so seeded experiment grids stay byte-reproducible.
 
 // Direction distinguishes the two halves of an exchange as seen from
 // the client.
@@ -41,11 +38,6 @@ func (d Direction) String() string {
 type Verdict struct {
 	// Lost reports that the transfer fails with ErrConnectionLost.
 	Lost bool
-	// Stall is receiver-up waiting time the client spends before it
-	// detects the loss (a slow or crashed server keeps the client
-	// listening until its deadline). The Link charges the listen
-	// energy and reports the time to the caller.
-	Stall energy.Seconds
 }
 
 // FaultModel decides the fate of each transfer on a link. Judge is
@@ -58,8 +50,7 @@ type FaultModel interface {
 }
 
 // IIDLoss loses each transfer independently with probability P — the
-// classic single-coin model (identical to Link.LossProb, kept as a
-// FaultModel so it composes with the others).
+// classic single-coin model.
 type IIDLoss struct {
 	P float64
 }
@@ -132,66 +123,4 @@ func (f *GilbertElliott) Judge(dir Direction, r *rng.RNG) Verdict {
 		}
 	}
 	return Verdict{Lost: f.down}
-}
-
-// ResponseLoss loses only receptions: the request goes out (and its
-// transmit energy is spent) but the response never arrives — the
-// mid-exchange drop that makes offloading strictly worse than not
-// having tried.
-type ResponseLoss struct {
-	P float64
-}
-
-// Judge implements FaultModel.
-func (f ResponseLoss) Judge(dir Direction, r *rng.RNG) Verdict {
-	if f.P <= 0 {
-		return Verdict{}
-	}
-	// Draw on every transfer so the stream is independent of the
-	// direction mix.
-	lost := r.Float64() < f.P
-	return Verdict{Lost: lost && dir == DirRecv}
-}
-
-// SlowServer models a stalled or crashed server: with probability P a
-// reception does not complete in time. The client keeps its receiver
-// up for Stall seconds (its deadline wait) before declaring the
-// connection lost; Stall = 0 models an immediate connection reset.
-type SlowServer struct {
-	P     float64
-	Stall energy.Seconds
-}
-
-// Judge implements FaultModel.
-func (f SlowServer) Judge(dir Direction, r *rng.RNG) Verdict {
-	if f.P <= 0 {
-		return Verdict{}
-	}
-	lost := r.Float64() < f.P
-	if !lost || dir != DirRecv {
-		return Verdict{}
-	}
-	return Verdict{Lost: true, Stall: f.Stall}
-}
-
-// Compose overlays several fault models: each judges every transfer
-// (all random streams advance deterministically) and the transfer is
-// lost if any model loses it, stalling for the longest stall.
-func Compose(models ...FaultModel) FaultModel {
-	return composite(models)
-}
-
-type composite []FaultModel
-
-// Judge implements FaultModel.
-func (c composite) Judge(dir Direction, r *rng.RNG) Verdict {
-	var out Verdict
-	for _, m := range c {
-		v := m.Judge(dir, r)
-		out.Lost = out.Lost || v.Lost
-		if v.Stall > out.Stall {
-			out.Stall = v.Stall
-		}
-	}
-	return out
 }

@@ -1,8 +1,8 @@
 package radio
 
 import (
-	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"greenvm/internal/energy"
@@ -14,29 +14,6 @@ func faultTestLink(f FaultModel, seed uint64) (*Link, *energy.Account) {
 	l := NewLink(WCDMA(), Fixed{Cls: Class4}, acct, rng.New(seed))
 	l.Fault = f
 	return l, acct
-}
-
-func TestIIDLossMatchesLossProb(t *testing.T) {
-	// The IIDLoss fault model must reproduce the legacy LossProb coin
-	// exactly: same rng stream, same losses.
-	const p = 0.3
-	legacy, _ := faultTestLink(nil, 42)
-	legacy.Fault = nil
-	legacy.LossProb = p
-	model, _ := faultTestLink(IIDLoss{P: p}, 42)
-	for i := 0; i < 500; i++ {
-		_, errA := legacy.Send(100)
-		_, errB := model.Send(100)
-		if (errA != nil) != (errB != nil) {
-			t.Fatalf("transfer %d: legacy err=%v, model err=%v", i, errA, errB)
-		}
-	}
-	if legacy.Losses != model.Losses {
-		t.Errorf("losses diverged: legacy %d, model %d", legacy.Losses, model.Losses)
-	}
-	if legacy.Losses == 0 || legacy.Losses == 500 {
-		t.Errorf("degenerate loss count %d", legacy.Losses)
-	}
 }
 
 func TestGilbertElliottStationaryRateAndBurstLength(t *testing.T) {
@@ -111,95 +88,26 @@ func TestGilbertElliottValidation(t *testing.T) {
 	NewGilbertElliott(1.0, 5)
 }
 
-func TestResponseLossOnlyHitsReceptions(t *testing.T) {
-	l, _ := faultTestLink(ResponseLoss{P: 1}, 5)
-	if _, err := l.Send(100); err != nil {
-		t.Fatalf("send should survive a response-loss fault: %v", err)
-	}
-	if _, err := l.Recv(100); !errors.Is(err, ErrConnectionLost) {
-		t.Fatalf("recv err = %v, want connection lost", err)
-	}
-	if l.BytesSent != 100 || l.BytesReceived != 0 {
-		t.Errorf("bytes sent %d recv %d; request energy must be spent, response lost",
-			l.BytesSent, l.BytesReceived)
-	}
-	if l.Losses != 1 {
-		t.Errorf("losses = %d, want 1", l.Losses)
-	}
-}
-
-func TestSlowServerChargesStall(t *testing.T) {
-	const stall = energy.Seconds(0.25)
-	l, acct := faultTestLink(SlowServer{P: 1, Stall: stall}, 6)
-	before := acct.Component(energy.CompRadioRx)
-	tSend, err := l.Send(64)
-	if err != nil {
-		t.Fatalf("send should pass a slow-server fault: %v", err)
-	}
-	if tSend <= 0 {
-		t.Error("send air time should be positive")
-	}
-	tRecv, err := l.Recv(64)
-	if !errors.Is(err, ErrConnectionLost) {
-		t.Fatalf("recv err = %v, want connection lost", err)
-	}
-	if tRecv != stall {
-		t.Errorf("stall time %v, want %v", tRecv, stall)
-	}
-	wantE := energy.Energy(l.Chip.RxPower(), stall)
-	if got := acct.Component(energy.CompRadioRx) - before; got != wantE {
-		t.Errorf("stall listen energy %v, want %v", got, wantE)
-	}
-	if l.Stalls != 1 || l.StallTime != stall {
-		t.Errorf("stalls=%d stallTime=%v", l.Stalls, l.StallTime)
-	}
-}
-
-func TestComposeOverlaysModels(t *testing.T) {
-	// Response loss plus a stalling slow server: the reception is lost
-	// and the longest stall applies.
-	f := Compose(ResponseLoss{P: 1}, SlowServer{P: 1, Stall: 0.5})
-	v := f.Judge(DirRecv, rng.New(1))
-	if !v.Lost || v.Stall != 0.5 {
-		t.Errorf("verdict = %+v, want lost with 0.5s stall", v)
-	}
-	v = f.Judge(DirSend, rng.New(1))
-	if v.Lost {
-		t.Error("send should survive both models")
-	}
-}
-
 func TestFaultStreamIndependentOfOutcome(t *testing.T) {
-	// A stateful model consumes the same rng stream regardless of the
-	// direction mix, so interleaving sends/recvs differently cannot
+	// The models draw the same rng stream whatever the direction mix,
+	// so interleaving sends and receives differently cannot
 	// desynchronize seeded runs.
-	judge := func(dirs []Direction) []bool {
-		f := Compose(NewGilbertElliott(0.3, 3), ResponseLoss{P: 0.2})
+	judge := func(dir Direction) []bool {
+		ge, iid := NewGilbertElliott(0.3, 3), IIDLoss{P: 0.2}
 		r := rng.New(11)
-		out := make([]bool, len(dirs))
-		for i, d := range dirs {
-			out[i] = f.Judge(d, r).Lost
+		var out []bool
+		for i := 0; i < 200; i++ {
+			out = append(out, ge.Judge(dir, r).Lost, iid.Judge(dir, r).Lost)
 		}
 		return out
 	}
-	a := judge([]Direction{DirSend, DirSend, DirSend, DirSend})
-	b := judge([]Direction{DirRecv, DirRecv, DirRecv, DirRecv})
-	// Outcomes may differ by direction, but the underlying burst state
-	// must match: transfer i is in an outage in stream a iff it is in
-	// stream b (GilbertElliott ignores direction).
-	ge1, ge2 := NewGilbertElliott(0.3, 3), NewGilbertElliott(0.3, 3)
-	r1, r2 := rng.New(11), rng.New(11)
-	for i := 0; i < 4; i++ {
-		v1 := ge1.Judge(DirSend, r1)
-		ResponseLoss{P: 0.2}.Judge(DirSend, r1)
-		v2 := ge2.Judge(DirRecv, r2)
-		ResponseLoss{P: 0.2}.Judge(DirRecv, r2)
-		if v1.Lost != v2.Lost {
-			t.Fatalf("burst state diverged at transfer %d", i)
-		}
+	send, recv := judge(DirSend), judge(DirRecv)
+	if !slices.Equal(send, recv) {
+		t.Error("verdicts depend on the transfer direction")
 	}
-	_ = a
-	_ = b
+	if !slices.Contains(send, true) || !slices.Contains(send, false) {
+		t.Error("degenerate verdict stream: all lost or none")
+	}
 }
 
 func TestLinkTelemetrySnapshot(t *testing.T) {

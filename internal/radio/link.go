@@ -22,12 +22,8 @@ type Link struct {
 	// Tracker provides the client's channel estimate used to choose
 	// the transmit power setting.
 	Tracker *PilotTracker
-	// LossProb is the per-exchange probability of losing connectivity
-	// (the legacy i.i.d. coin, used when Fault is nil).
-	LossProb float64
-	// Fault, when set, replaces the LossProb coin with a pluggable
-	// failure process (burst outages, mid-exchange drops, stalled
-	// servers); see FaultModel.
+	// Fault, when set, decides which transfers are lost (an i.i.d.
+	// coin, burst outages; see FaultModel); nil loses none.
 	Fault FaultModel
 
 	acct *energy.Account
@@ -39,10 +35,6 @@ type Link struct {
 	Exchanges     int
 	Losses        int
 	Retransmits   int
-	// Stalls counts losses detected only after a receiver-up wait (a
-	// slow or crashed server); StallTime is the total time so spent.
-	Stalls    int
-	StallTime energy.Seconds
 }
 
 // Telemetry is a snapshot of a link's counters, for surfacing through
@@ -53,8 +45,6 @@ type Telemetry struct {
 	Exchanges     int
 	Losses        int
 	Retransmits   int
-	Stalls        int
-	StallTime     energy.Seconds
 }
 
 // Telemetry snapshots the link's counters.
@@ -65,8 +55,6 @@ func (l *Link) Telemetry() Telemetry {
 		Exchanges:     l.Exchanges,
 		Losses:        l.Losses,
 		Retransmits:   l.Retransmits,
-		Stalls:        l.Stalls,
-		StallTime:     l.StallTime,
 	}
 }
 
@@ -81,9 +69,6 @@ func NewLink(chip *Chipset, ch Channel, acct *energy.Account, r *rng.RNG) *Link 
 	}
 }
 
-// SetAccount redirects future charges.
-func (l *Link) SetAccount(acct *energy.Account) { l.acct = acct }
-
 // EstimateClass returns the client's current channel estimate.
 func (l *Link) EstimateClass() Class { return l.Tracker.Estimate() }
 
@@ -92,14 +77,11 @@ func (l *Link) EstimateClass() Class { return l.Tracker.Estimate() }
 // returning the air time. When the tracker overestimates the channel
 // (a too-weak power setting for the true condition), the transmission
 // fails and is repeated at the true setting: estimation errors cost
-// energy, never save it.
-//
-// On ErrConnectionLost the returned time is the receiver-up stall the
-// client spent before detecting the loss (already charged to the
-// account); callers must still advance their clock by it.
+// energy, never save it. A lost transfer costs neither time nor
+// energy here; the caller prices the timeout it waits out.
 func (l *Link) Send(payloadBytes int) (energy.Seconds, error) {
-	if stall, lost := l.lost(DirSend); lost {
-		return stall, ErrConnectionLost
+	if l.lost(DirSend) {
+		return 0, ErrConnectionLost
 	}
 	cls := l.Tracker.Estimate()
 	actual := l.Ch.Current()
@@ -119,13 +101,9 @@ func (l *Link) Send(payloadBytes int) (energy.Seconds, error) {
 // Recv receives payloadBytes from the server, charging receive energy
 // and returning the air time. Reception timing follows the true
 // channel condition (the base station transmits at the right setting).
-//
-// On ErrConnectionLost the returned time is the receiver-up stall the
-// client spent before detecting the loss (already charged to the
-// account); callers must still advance their clock by it.
 func (l *Link) Recv(payloadBytes int) (energy.Seconds, error) {
-	if stall, lost := l.lost(DirRecv); lost {
-		return stall, ErrConnectionLost
+	if l.lost(DirRecv) {
+		return 0, ErrConnectionLost
 	}
 	cls := l.Ch.Current()
 	l.acct.AddRadio(false, l.Chip.RxEnergy(payloadBytes, cls))
@@ -156,27 +134,12 @@ func (l *Link) StepChannel() {
 	l.Ch.Step()
 }
 
-// lost rules on one transfer via the fault model (or the legacy
-// LossProb coin). A lost transfer with a stall charges the listen
-// energy here; the stall time is returned for the caller's clock.
-func (l *Link) lost(dir Direction) (energy.Seconds, bool) {
+// lost rules on one transfer via the fault model.
+func (l *Link) lost(dir Direction) bool {
 	l.Exchanges++
-	if l.Fault != nil {
-		v := l.Fault.Judge(dir, l.r)
-		if !v.Lost {
-			return 0, false
-		}
-		l.Losses++
-		if v.Stall > 0 {
-			l.Stalls++
-			l.StallTime += v.Stall
-			l.Listen(v.Stall)
-		}
-		return v.Stall, true
+	if l.Fault == nil || !l.Fault.Judge(dir, l.r).Lost {
+		return false
 	}
-	if l.LossProb > 0 && l.r != nil && l.r.Float64() < l.LossProb {
-		l.Losses++
-		return 0, true
-	}
-	return 0, false
+	l.Losses++
+	return true
 }

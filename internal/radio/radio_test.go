@@ -196,14 +196,14 @@ func TestLinkLoss(t *testing.T) {
 	model := energy.MicroSPARCIIep()
 	acct := energy.NewAccount(model)
 	l := NewLink(WCDMA(), Fixed{Cls: Class4}, acct, rng.New(11))
-	l.LossProb = 1.0
+	l.Fault = IIDLoss{P: 1}
 	if _, err := l.Send(10); !errors.Is(err, ErrConnectionLost) {
 		t.Errorf("err = %v, want ErrConnectionLost", err)
 	}
 	if l.Losses != 1 {
 		t.Error("loss not counted")
 	}
-	l.LossProb = 0
+	l.Fault = nil
 	if _, err := l.Send(10); err != nil {
 		t.Errorf("send after restoring link: %v", err)
 	}
