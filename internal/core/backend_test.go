@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"greenvm/internal/energy"
@@ -74,7 +75,6 @@ func (f *fakePool) CompiledBody(ctx context.Context, qname string, level jit.Lev
 }
 
 var _ MultiRemote = (*fakePool)(nil)
-var _ BackendProber = (*fakePool)(nil)
 
 // newPoolClient wires a client against a two-backend fakePool, tuned
 // so a retry is always economically worthwhile (tiny listen windows)
@@ -164,7 +164,7 @@ func TestBackendBreakerFailover(t *testing.T) {
 	if pool.served[other] == 0 {
 		t.Error("surviving backend never served the failover")
 	}
-	if !c.RemoteAvailable() {
+	if !c.remoteAvailable() {
 		t.Error("pool must stay available while one backend survives")
 	}
 }
@@ -194,7 +194,7 @@ func TestGlobalBreakerBlindsWholePool(t *testing.T) {
 	if len(c.Stats.LinkDownsBy) != 0 {
 		t.Errorf("LinkDownsBy = %v, want empty in global mode", c.Stats.LinkDownsBy)
 	}
-	if c.RemoteAvailable() {
+	if c.remoteAvailable() {
 		t.Error("the open link breaker must hold the whole pool down")
 	}
 }
@@ -224,7 +224,7 @@ func TestHalfOpenProbeDuringRestart(t *testing.T) {
 	// Cooldown elapses while the backend is still mid-restart: the
 	// availability check probes, the probe fails, the breaker re-opens.
 	c.Clock += 0.02
-	if !c.RemoteAvailable() {
+	if !c.remoteAvailable() {
 		t.Fatal("pool must stay available on backend b during a's restart")
 	}
 	if c.Stats.Probes != 1 {
@@ -239,7 +239,7 @@ func TestHalfOpenProbeDuringRestart(t *testing.T) {
 
 	// Within the doubled cooldown no second probe fires.
 	c.Clock += 0.01
-	if !c.RemoteAvailable() {
+	if !c.remoteAvailable() {
 		t.Fatal("pool availability must not regress")
 	}
 	if c.Stats.Probes != 1 {
@@ -249,7 +249,7 @@ func TestHalfOpenProbeDuringRestart(t *testing.T) {
 	// The backend restarts; the next probe closes the breaker.
 	pool.probeErr["a"] = nil
 	c.Clock += 0.02
-	if !c.RemoteAvailable() {
+	if !c.remoteAvailable() {
 		t.Fatal("pool must be available after recovery")
 	}
 	if c.Stats.Probes != 2 {
@@ -264,10 +264,10 @@ func TestHalfOpenProbeDuringRestart(t *testing.T) {
 }
 
 // TestCandidatesExcludeOpenBackends pins the placement side of the
-// breaker: an open backend is still priced (Open flag) but the
-// candidate index and placement hint move to the survivor, and when
-// every breaker is open the pick degrades to breaker-blind instead of
-// pricing the pool infinite.
+// breaker: an open backend is skipped by both the offload pricing and
+// the placement hint, which move to the survivor, and when every
+// breaker is open the pick degrades to breaker-blind instead of pricing
+// the pool infinite.
 func TestCandidatesExcludeOpenBackends(t *testing.T) {
 	c, pool := newPoolClient(t, StrategyR)
 	home := homeOf(c, pool.ids)
@@ -278,29 +278,19 @@ func TestCandidatesExcludeOpenBackends(t *testing.T) {
 
 	c.noteRemoteFailureOn(home)
 	prof := c.profiles[c.Prog.FindMethod("App", "work")]
-	cands, ci := c.RemoteCandidates(prof, 600, c.TxPowerEstimate())
-	if len(cands) != 2 {
-		t.Fatalf("candidates %d, want 2", len(cands))
-	}
-	if cands[ci].ID != other {
-		t.Errorf("cheapest candidate %q, want the survivor %q", cands[ci].ID, other)
-	}
-	for _, cand := range cands {
-		if cand.ID == home && !cand.Open {
-			t.Errorf("candidate %q must be marked Open", home)
-		}
+	if _, id := c.remoteEnergy(prof, 600, c.txPowerEstimate()); id != other {
+		t.Errorf("cheapest backend %q, want the survivor %q", id, other)
 	}
 	if hint := c.placementHint(); hint != other {
 		t.Errorf("placement hint %q, want %q", hint, other)
 	}
 
-	// Open the survivor too: the hint degrades to breaker-blind.
+	// Open the survivor too: the pick degrades to breaker-blind.
 	c.noteRemoteFailureOn(other)
 	if hint := c.placementHint(); hint == "" {
 		t.Error("hint must stay non-empty when every breaker is open")
 	}
-	_, ci = c.RemoteCandidates(prof, 600, c.TxPowerEstimate())
-	if ci < 0 || ci > 1 {
-		t.Errorf("candidate index %d out of range under all-open degradation", ci)
+	if e, id := c.remoteEnergy(prof, 600, c.txPowerEstimate()); id == "" || math.IsInf(float64(e), 0) {
+		t.Errorf("all-open pricing picked %q at %v, want a backend at a finite cost", id, e)
 	}
 }

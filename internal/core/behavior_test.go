@@ -17,7 +17,7 @@ import (
 // adaptiveState reaches into the client's adaptive policy for its
 // per-method EWMA/amortization state.
 func adaptiveState(c *Client) map[*bytecode.Method]*adaptState {
-	return c.Policy.(*AdaptivePolicy).state
+	return c.policy.(*adaptivePolicy).state
 }
 
 // TestEWMAPrediction checks the paper's prediction formulas: after a
@@ -70,7 +70,7 @@ func TestNewExecutionResetsAmortization(t *testing.T) {
 	if adaptiveState(c)[m].sBar == 0 {
 		t.Error("NewExecution should keep the EWMA size prediction")
 	}
-	if c.Exec.planLinked(m, 1) || c.Exec.planLinked(m, 2) || c.Exec.planLinked(m, 3) {
+	if c.planLinked(m, 1) || c.planLinked(m, 2) || c.planLinked(m, 3) {
 		t.Error("NewExecution should unlink compiled bodies")
 	}
 }
@@ -198,7 +198,7 @@ func TestCodeCacheEviction(t *testing.T) {
 	p := testProgram(t)
 	c := newTestClient(t, p, StrategyL2, radio.Fixed{Cls: radio.Class4}, workTarget(), vecsumTarget())
 	// Big enough for one plan but not both.
-	c.Exec.Cache.MaxBytes = 150
+	c.Cache.MaxBytes = 150
 
 	argsW := []vm.Slot{vm.IntSlot(100)}
 	if _, err := c.Invoke(context.Background(), "App", "work", argsW); err != nil {

@@ -13,16 +13,13 @@ import (
 )
 
 // Client is a Java-enabled mobile device: an MJVM plus a wireless link
-// to a Server. It is the thin composition root of three layers with
-// narrow seams:
-//
-//   - the Policy decides, per invocation, where and how to execute
-//     (and where to compile) — all strategy logic and adaptive state
-//     live there;
-//   - the Executor runs the decision (interpret, JIT at a level, or
-//     offload) and manages compiled bodies through its CacheManager;
-//   - the event layer (Events/Stats) is the single stream experiments
-//     and tracing consume.
+// to a Server, making the paper's one decision per invocation of a
+// potential method. Its policy (fixed by the strategy) picks the mode
+// from the client's own estimators (this file); the client's methods
+// run it — interpret, JIT at a level, or offload, with the timeout
+// fallback (run.go) — and its CacheManager keeps the LRU code cache.
+// Everything that happens goes out as typed events (Events/Stats), the
+// single stream experiments and tracing consume.
 //
 // All energy consumed on behalf of the client (computation,
 // compilation, communication, power-down leakage) accumulates in
@@ -36,13 +33,9 @@ type Client struct {
 	Server   Remote
 	Strategy Strategy
 
-	// Policy decides execution mode and compilation site; New installs
-	// the paper policy for the strategy, and callers may swap in their
-	// own before invoking.
-	Policy Policy
-
-	// Exec owns the execution paths and the compiled-code cache.
-	Exec *Executor
+	// Cache holds the compiled bodies; Cache.MaxBytes bounds the native
+	// code linked at once.
+	Cache *CacheManager
 
 	// Events fans runtime events out to the attached sinks; Stats is
 	// the always-attached counter sink.
@@ -95,14 +88,24 @@ type Client struct {
 	lastAcctTime energy.Seconds
 	r            *rng.RNG
 
-	// ctx is the context of the in-flight Invoke; the executor's
-	// remote path consults it between attempts and hands it to the
-	// transport.
+	// policy decides execution mode and compilation site (newPolicy
+	// for the strategy).
+	policy policy
+
+	// levelStack holds the ambient execution level of each local run in
+	// flight (0 = interpret); compilerLoaded reports whether the
+	// compiler classes are loaded in the current execution (their load
+	// energy is charged once per execution that compiles locally).
+	levelStack     []jit.Level
+	compilerLoaded bool
+
+	// ctx is the context of the in-flight Invoke; the remote path
+	// consults it between attempts and hands it to the transport.
 	ctx context.Context
 
 	// busyRates holds one EWMA estimate per backend of that backend
 	// shedding load (1 = every recent exchange came back busy). A
-	// single anonymous server lives under key "". RemoteEnergy
+	// single anonymous server lives under key "". remoteEnergy
 	// inflates the cheapest backend's price by 1/(1-rate), so adaptive
 	// policies steer work back to local execution while the pool is
 	// overloaded and drift back as successes decay the estimates.
@@ -149,14 +152,16 @@ func (c *Client) Energy() energy.Joules { return c.VM.Acct.Total() }
 
 // NewExecution marks an application-execution boundary: classes are
 // reloaded, so compiled bodies must be re-linked (their energy is
-// charged again) and the compiler classes re-initialized. The policy
-// resets its per-execution amortization state; device-level state
-// (EWMA predictions, the pilot tracker) persists. RunExecution starts
-// every execution this way; callers that drive Invoke themselves call
-// it between executions.
+// charged again; the artifacts and their recorded charges survive) and
+// the compiler classes re-initialized. The policy resets its
+// per-execution amortization state; device-level state (EWMA
+// predictions, the pilot tracker) persists. RunExecution starts every
+// execution this way; callers that drive Invoke themselves call it
+// between executions.
 func (c *Client) NewExecution() {
-	c.Exec.NewExecution()
-	c.Policy.NewExecution()
+	c.Cache.unlinkAll()
+	c.compilerLoaded = false
+	c.policy.newExecution()
 	c.VM.Hier.Flush()
 }
 
@@ -274,8 +279,8 @@ func (c *Client) invokeCtx() context.Context {
 	return c.ctx
 }
 
-// execute asks the policy where and how to run m and has the executor
-// do it, emitting one EvInvoke with the measured deltas.
+// execute asks the policy where and how to run m and runs it, emitting
+// one EvInvoke with the measured deltas.
 func (c *Client) execute(m *bytecode.Method, t *Target, size float64, args []vm.Slot) (vm.Slot, error) {
 	c.inFlight[m] = true
 	defer delete(c.inFlight, m)
@@ -285,7 +290,7 @@ func (c *Client) execute(m *bytecode.Method, t *Target, size float64, args []vm.
 	tBefore := c.Clock
 
 	mode := c.decideMode(m, size)
-	res, fellBack, err := c.Exec.Run(mode, m, t, size, args)
+	res, fellBack, err := c.run(mode, m, t, size, args)
 	if err != nil {
 		return vm.Slot{}, err
 	}
@@ -310,11 +315,11 @@ func (c *Client) execute(m *bytecode.Method, t *Target, size float64, args []vm.
 // EvEstimate so every adaptive decision is auditable against the
 // EvInvoke that follows it.
 func (c *Client) decideMode(m *bytecode.Method, size float64) Mode {
-	d := c.Policy.Decide(&InvokeContext{Method: m, Prof: c.profiles[m], Size: size, Env: c})
-	if d.Est != nil {
-		c.Events.Emit(Event{Kind: EvEstimate, Method: m, Mode: d.Mode, Size: size, At: c.Clock, Est: d.Est})
+	mode, est := c.policy.decide(c, m, size)
+	if est != nil {
+		c.Events.Emit(Event{Kind: EvEstimate, Method: m, Mode: mode, Size: size, At: c.Clock, Est: est})
 	}
-	return d.Mode
+	return mode
 }
 
 // SyncStats folds the link's current telemetry into Stats. The event
@@ -329,14 +334,14 @@ func (c *Client) StepChannel() { c.Link.StepChannel() }
 
 // --- Circuit breaker integration ---
 
-// RemoteAvailable implements PolicyEnv: it reports whether remote
-// options may be considered right now. The shared link breaker is
+// remoteAvailable reports whether remote options (offloading, body
+// download) may be considered right now. The shared link breaker is
 // consulted first (an Open link costs nothing; a HalfOpen one sends a
 // charged probe); with per-backend breakers enabled, at least one
 // backend must be up too — HalfOpen backend breakers each send their
 // own charged probe, so the answer reflects the pool's actual state,
 // not a stale verdict.
-func (c *Client) RemoteAvailable() bool {
+func (c *Client) remoteAvailable() bool {
 	if !c.linkAvailable() {
 		return false
 	}
@@ -399,48 +404,17 @@ func (c *Client) backendAvailable(id string) bool {
 	}
 }
 
-// probeLink runs one half-open probe: a small message to the server
-// and its echo. Success closes the breaker (EvLinkUp); failure
-// re-opens it with a doubled cooldown.
-func (c *Client) probeLink() bool {
-	n := c.Breaker.ProbeBytes
+// probe runs one charged half-open probe round trip: n bytes out, the
+// pool's liveness answer for backend id (a link probe, id "", asks
+// none), and the echo back. It emits EvProbe and reports the outcome.
+func (c *Client) probe(n int, id string) error {
 	if n <= 0 {
 		n = 16
 	}
 	tTx, err := c.Link.Send(n)
 	c.Clock += tTx
-	if err == nil {
-		var tRx energy.Seconds
-		tRx, err = c.Link.Recv(n)
-		c.Clock += tRx
-	}
-	c.Events.Emit(Event{Kind: EvProbe, At: c.Clock, FellBack: err != nil, Radio: c.Link.Telemetry()})
-	if err != nil {
-		c.noteRemoteFailure()
-		return false
-	}
-	c.noteRemoteSuccess()
-	return true
-}
-
-// probeBackend runs one charged half-open probe against a single
-// backend: the radio round trip (same price as a link probe) plus the
-// backend liveness question when the pool can answer one
-// (BackendProber). Success closes the backend's breaker and counts as
-// a link success too — the round trip proved the radio path; failure
-// re-opens the backend's breaker with a doubled cooldown and leaves
-// the other backends untouched.
-func (c *Client) probeBackend(id string, b *Breaker) bool {
-	n := b.ProbeBytes
-	if n <= 0 {
-		n = 16
-	}
-	tTx, err := c.Link.Send(n)
-	c.Clock += tTx
-	if err == nil {
-		if pr, ok := c.Server.(BackendProber); ok {
-			err = pr.ProbeBackend(c.invokeCtx(), id, c.Clock)
-		}
+	if err == nil && id != "" {
+		err = c.Server.(MultiRemote).ProbeBackend(c.invokeCtx(), id, c.Clock)
 	}
 	if err == nil {
 		var tRx energy.Seconds
@@ -448,7 +422,28 @@ func (c *Client) probeBackend(id string, b *Breaker) bool {
 		c.Clock += tRx
 	}
 	c.Events.Emit(Event{Kind: EvProbe, At: c.Clock, FellBack: err != nil, Backend: id, Radio: c.Link.Telemetry()})
-	if err != nil {
+	return err
+}
+
+// probeLink probes the half-open link breaker. Success closes it
+// (EvLinkUp) and decays every busy estimate; failure re-opens it with
+// a doubled cooldown.
+func (c *Client) probeLink() bool {
+	if c.probe(c.Breaker.ProbeBytes, "") != nil {
+		c.noteRemoteFailureOn("")
+		return false
+	}
+	c.noteRemoteSuccessOn("")
+	return true
+}
+
+// probeBackend probes one backend's half-open breaker (same radio price
+// as a link probe). Success closes the backend's breaker and counts as
+// a link success too — the round trip proved the radio path; failure
+// re-opens the backend's breaker with a doubled cooldown and leaves the
+// other backends untouched.
+func (c *Client) probeBackend(id string, b *Breaker) bool {
+	if c.probe(b.ProbeBytes, id) != nil {
 		if b.RecordFailure(c.Clock) {
 			c.Events.Emit(Event{Kind: EvLinkDown, At: c.Clock, Backend: id, Radio: c.Link.Telemetry()})
 		}
@@ -480,10 +475,6 @@ func (c *Client) backendBreaker(id string) *Breaker {
 	return b
 }
 
-// noteRemoteFailure records one lost remote exchange that cannot be
-// attributed to a backend: it strikes the shared link breaker.
-func (c *Client) noteRemoteFailure() { c.noteRemoteFailureOn("") }
-
 // noteRemoteFailureOn records one lost remote exchange. A loss
 // attributed to a backend strikes that backend's breaker only (the
 // radio path demonstrably works — the loss verdict came back over it);
@@ -506,17 +497,12 @@ func (c *Client) noteRemoteFailureOn(backend string) {
 	}
 }
 
-// noteRemoteSuccess records one successful remote exchange against an
-// anonymous backend: every busy estimate decays, and the breaker
-// hears the success (emitting EvLinkUp when it closes a half-open
-// breaker). Attributed exchanges go through noteRemoteSuccessOn.
-func (c *Client) noteRemoteSuccess() { c.noteRemoteSuccessOn("") }
-
 // noteRemoteSuccessOn records one successful remote exchange with the
-// named backend: its busy estimate decays ("" decays all — a probe or
-// single-server exchange says nothing about one backend in
-// particular), its per-backend breaker hears the success (resetting
-// its loss run), and the link breaker hears it too.
+// named backend: its busy estimate decays ("" decays all — a link
+// probe, a body download or a single-server exchange says nothing
+// about one backend in particular), its per-backend breaker hears the
+// success (resetting its loss run), and the link breaker hears it too
+// (emitting EvLinkUp when that closes a half-open breaker).
 func (c *Client) noteRemoteSuccessOn(backend string) {
 	if backend == "" {
 		for id := range c.busyRates {
@@ -571,20 +557,28 @@ func (c *Client) backendIDs() []string {
 	return nil
 }
 
-// placementHint is the client-side pick-cheapest hint the executor
-// sends with each offload: the backend with the lowest busy
-// inflation. The base offload cost is identical across backends (one
-// radio, one channel), so the cheapest candidate is the least-busy
-// one — found by the same circular scan from the client's home
-// backend as RemoteCandidates, strictly lower wins. Backends whose
-// per-backend breaker is open are skipped (unless every backend is
-// open, when the scan degrades to the breaker-blind pick). "" when
-// c.Server is not a pool.
+// placementHint is the client-side pick-cheapest hint sent with each
+// offload: the backend with the lowest busy rate. The base offload cost
+// is identical across backends (one radio, one channel), so the
+// least-busy backend is the cheapest one — up to the busy-rate cap:
+// past it, remoteEnergy prices backends alike while the hint still
+// tells them apart by rate. "" when c.Server is not a pool.
 func (c *Client) placementHint() string {
 	ids := c.backendIDs()
 	if len(ids) == 0 {
 		return ""
 	}
+	return ids[c.pickBackend(ids, c.busyRateOf)]
+}
+
+// pickBackend returns the index of the backend with the lowest key,
+// scanning circularly from the client's home backend (hash of its ID)
+// and moving only on a strictly lower key: a fleet of fresh clients
+// with identical estimates spreads across the pool instead of herding
+// onto backend 0. Backends whose per-backend breaker holds them open
+// are skipped — unless every backend is open, when the scan degrades
+// to the breaker-blind pick so the estimate stays finite.
+func (c *Client) pickBackend(ids []string, key func(id string) float64) int {
 	home := int(fnvHash(c.ID) % uint64(len(ids)))
 	best := -1
 	for off := 0; off < len(ids); off++ {
@@ -592,7 +586,7 @@ func (c *Client) placementHint() string {
 		if c.BackendBreakers && c.backendOpen(ids[i]) {
 			continue
 		}
-		if best < 0 || c.busyRateOf(ids[i]) < c.busyRateOf(ids[best]) {
+		if best < 0 || key(ids[i]) < key(ids[best]) {
 			best = i
 		}
 	}
@@ -600,59 +594,61 @@ func (c *Client) placementHint() string {
 		best = home
 		for off := 1; off < len(ids); off++ {
 			i := (home + off) % len(ids)
-			if c.busyRateOf(ids[i]) < c.busyRateOf(ids[best]) {
+			if key(ids[i]) < key(ids[best]) {
 				best = i
 			}
 		}
 	}
-	return ids[best]
+	return best
 }
 
 // retryWorthwhile reports whether re-attempting a lost remote
 // exchange is still estimated cheaper than the policy's best local
-// mode — the executor retries only while the estimator says so.
+// mode — the client retries only while the estimator says so.
 func (c *Client) retryWorthwhile(m *bytecode.Method, size float64) bool {
 	prof := c.profiles[m]
 	if prof == nil {
 		return false
 	}
-	ctx := &InvokeContext{Method: m, Prof: prof, Size: size, Env: c}
-	local := c.Policy.BestLocalMode(ctx)
+	local := c.policy.bestLocalMode(c, m, size)
 	eLocal := prof.EnergyOf[local].Eval(size)
 	if local.IsCompiled() {
-		eLocal += float64(c.PlanCompileCost(m, prof, local.Level(), false))
+		eLocal += float64(c.planCompileCost(m, prof, local.Level(), false))
 	}
-	eRemote := float64(c.RemoteEnergy(prof, size, c.TxPowerEstimate()))
+	eRemote, _ := c.remoteEnergy(prof, size, c.txPowerEstimate())
 	// A retry also risks another timeout listen; count it against the
 	// remote side so marginal cases fall back instead of flapping.
-	eRemote += float64(energy.Energy(c.Link.Chip.RxPower(), c.Timeout))
-	return eRemote < eLocal
+	eRemote += energy.Energy(c.Link.Chip.RxPower(), c.Timeout)
+	return float64(eRemote) < eLocal
 }
 
-// --- PolicyEnv: the pricing view policies consult ---
+// --- Estimators: the prices the policy compares ---
 
-// TxPowerEstimate implements PolicyEnv.
-func (c *Client) TxPowerEstimate() float64 {
+// txPowerEstimate is the transmit-chain power (W) at the current
+// channel estimate.
+func (c *Client) txPowerEstimate() float64 {
 	return float64(c.Link.Chip.TxPower(c.Link.EstimateClass()))
 }
 
-// ChargeDecisionOverhead implements PolicyEnv (the paper notes the
-// decision cost is small).
-func (c *Client) ChargeDecisionOverhead() {
+// chargeDecisionOverhead bills the decision computation itself to the
+// client (the paper notes it is small).
+func (c *Client) chargeDecisionOverhead() {
 	c.VM.Acct.AddInstr(energy.ALUSimple, 400)
 	c.VM.Acct.AddInstr(energy.Load, 80)
 }
 
-// PlanCompileCost implements PolicyEnv: zero when the plan is already
-// linked; otherwise the profiled local compile cost (Eo'), or with
-// allowDownload the cheaper of local compilation and downloading the
-// pre-compiled bodies at the current channel estimate.
-func (c *Client) PlanCompileCost(m *bytecode.Method, prof *Profile, lv jit.Level, allowDownload bool) energy.Joules {
-	if c.Exec.planLinked(m, lv) {
+// planCompileCost estimates making m's whole compilation plan
+// executable at the level: zero when already linked; otherwise the
+// profiled local compile cost (Eo', plus the once-per-execution
+// compiler-classes load) or, with allowDownload, the cheaper of that
+// and downloading the pre-compiled bodies at the current channel
+// estimate.
+func (c *Client) planCompileCost(m *bytecode.Method, prof *Profile, lv jit.Level, allowDownload bool) energy.Joules {
+	if c.planLinked(m, lv) {
 		return 0
 	}
 	local := prof.CompileEnergy[lv-1]
-	if !c.Exec.CompilerLoaded() {
+	if !c.compilerLoaded {
 		local += jit.CompilerLoadEnergy(c.Model)
 	}
 	if !allowDownload {
@@ -674,24 +670,26 @@ func (c *Client) planDownloadCost(prof *Profile, lv jit.Level) energy.Joules {
 	return e
 }
 
-// BodyCompileCost implements PolicyEnv: the profiled per-method local
-// compile energy (plus a pending compiler load); ok is false for
-// unprofiled methods.
-func (c *Client) BodyCompileCost(mm *bytecode.Method, lv jit.Level) (energy.Joules, bool) {
+// bodyCompileCost is the profiled energy to compile one method body
+// locally (plus a pending compiler load); ok is false when the method
+// was never profiled.
+func (c *Client) bodyCompileCost(mm *bytecode.Method, lv jit.Level) (e energy.Joules, ok bool) {
 	localE := mm.Attr(fmt.Sprintf("compile.energy.%s", lv), -1)
 	if localE < 0 {
 		return 0, false
 	}
 	local := energy.Joules(localE)
-	if !c.Exec.CompilerLoaded() {
+	if !c.compilerLoaded {
 		local += jit.CompilerLoadEnergy(c.Model)
 	}
 	return local, true
 }
 
-// BodyDownloadCost implements PolicyEnv: transmit the method name,
-// receive the profiled body size, at the current channel estimate.
-func (c *Client) BodyDownloadCost(mm *bytecode.Method, lv jit.Level) (energy.Joules, bool) {
+// bodyDownloadCost prices downloading one pre-compiled body —
+// transmit the method name, receive the profiled body size — at the
+// current channel estimate; ok is false when the body's size was never
+// profiled.
+func (c *Client) bodyDownloadCost(mm *bytecode.Method, lv jit.Level) (e energy.Joules, ok bool) {
 	codeBytes := mm.Attr(fmt.Sprintf("compile.bytes.%s", lv), -1)
 	if codeBytes < 0 {
 		return 0, false
@@ -700,64 +698,23 @@ func (c *Client) BodyDownloadCost(mm *bytecode.Method, lv jit.Level) (energy.Jou
 	return c.Link.Chip.TxEnergy(64, cls) + c.Link.Chip.RxEnergy(int(codeBytes), cls), true
 }
 
-// RemoteEnergy implements PolicyEnv: E”(m, s, p) — the cheapest
-// backend's estimate of transmitting the serialized arguments at
-// predicted power p, sleeping (leakage) while the server computes,
-// and receiving the result.
-func (c *Client) RemoteEnergy(prof *Profile, s, pWatts float64) energy.Joules {
-	cands, best := c.RemoteCandidates(prof, s, pWatts)
-	return energy.Joules(cands[best].Cost)
-}
-
-// RemoteCandidates implements PolicyEnv: one priced remote candidate
-// per backend behind c.Server (a single entry with ID "" for a plain
-// Remote), plus the index of the cheapest — the client's placement
-// hint. The physical-layer base cost is identical across backends
-// (one radio, one channel); what separates them is admission-control
-// pricing: each backend's estimate inflates by 1/(1-rate) of its own
-// busy EWMA, the expected number of shipping attempts before one is
-// admitted there.
-func (c *Client) RemoteCandidates(prof *Profile, s, pWatts float64) ([]BackendCandidate, int) {
+// remoteEnergy is E”(m, s, p): the estimated energy to offload one
+// invocation of size s at predicted transmit power p — transmitting the
+// serialized arguments, sleeping (leakage) while the server computes,
+// and receiving the result — on the cheapest backend behind c.Server,
+// whose ID it returns too ("" for a plain Remote). The physical-layer
+// base cost is identical across backends (one radio, one channel);
+// what separates them is admission-control pricing: each backend's
+// estimate inflates by 1/(1-rate) of its own busy EWMA, the expected
+// number of shipping attempts before one is admitted there.
+func (c *Client) remoteEnergy(prof *Profile, s, pWatts float64) (energy.Joules, string) {
 	base := float64(c.remoteEnergyBase(prof, s, pWatts))
-	ids := c.backendIDs()
-	if len(ids) == 0 {
-		r := c.busyRateOf("")
-		return []BackendCandidate{{ID: "", Busy: r, Cost: inflateBusy(base, r)}}, 0
+	cost := func(id string) float64 { return inflateBusy(base, c.busyRateOf(id)) }
+	id := ""
+	if ids := c.backendIDs(); len(ids) > 0 {
+		id = ids[c.pickBackend(ids, cost)]
 	}
-	cands := make([]BackendCandidate, len(ids))
-	for i, id := range ids {
-		r := c.busyRateOf(id)
-		cands[i] = BackendCandidate{ID: id, Busy: r, Cost: inflateBusy(base, r),
-			Open: c.BackendBreakers && c.backendOpen(id)}
-	}
-	// The cheapest backend, scanning circularly from the client's home
-	// backend (hash of its ID) and moving only on strictly lower cost:
-	// a fleet of fresh clients with identical estimates spreads across
-	// the pool instead of herding onto backend 0. Backends held down by
-	// their breaker are priced (for observability) but not picked —
-	// unless every backend is open, when the scan degrades to the
-	// breaker-blind pick so the estimate stays finite.
-	home := int(fnvHash(c.ID) % uint64(len(ids)))
-	best := -1
-	for off := 0; off < len(ids); off++ {
-		i := (home + off) % len(ids)
-		if cands[i].Open {
-			continue
-		}
-		if best < 0 || cands[i].Cost < cands[best].Cost {
-			best = i
-		}
-	}
-	if best < 0 {
-		best = home
-		for off := 1; off < len(ids); off++ {
-			i := (home + off) % len(ids)
-			if cands[i].Cost < cands[best].Cost {
-				best = i
-			}
-		}
-	}
-	return cands, best
+	return energy.Joules(cost(id)), id
 }
 
 // remoteEnergyBase is the un-inflated offload estimate: pure
@@ -826,7 +783,3 @@ func classForPower(chip *radio.Chipset, p float64) radio.Class {
 	}
 	return best
 }
-
-// Compile-time check: the Client is the pricing environment policies
-// consult.
-var _ PolicyEnv = (*Client)(nil)

@@ -42,9 +42,9 @@ type cacheKey struct {
 	lv jit.Level
 }
 
-// NewCacheManager returns an empty cache emitting eviction events to
+// newCacheManager returns an empty cache emitting eviction events to
 // the sinks.
-func NewCacheManager(events *Sinks) *CacheManager {
+func newCacheManager(events *Sinks) *CacheManager {
 	return &CacheManager{
 		bodies:   map[*bytecode.Method][jit.NumLevels]*isa.Code{},
 		linked:   map[*bytecode.Method][jit.NumLevels]bool{},
@@ -54,42 +54,42 @@ func NewCacheManager(events *Sinks) *CacheManager {
 	}
 }
 
-// Body returns the cached compiled artifact of m at the level, or nil.
-func (cm *CacheManager) Body(m *bytecode.Method, lv jit.Level) *isa.Code {
+// body returns the cached compiled artifact of m at the level, or nil.
+func (cm *CacheManager) body(m *bytecode.Method, lv jit.Level) *isa.Code {
 	return cm.bodies[m][lv-1]
 }
 
-// Install stores a compiled artifact for the client's lifetime.
-func (cm *CacheManager) Install(m *bytecode.Method, lv jit.Level, code *isa.Code) {
+// install stores a compiled artifact for the client's lifetime.
+func (cm *CacheManager) install(m *bytecode.Method, lv jit.Level, code *isa.Code) {
 	b := cm.bodies[m]
 	b[lv-1] = code
 	cm.bodies[m] = b
 }
 
-// Linked reports whether m's body is linked into the current
+// isLinked reports whether m's body is linked into the current
 // execution at the level.
-func (cm *CacheManager) Linked(m *bytecode.Method, lv jit.Level) bool {
+func (cm *CacheManager) isLinked(m *bytecode.Method, lv jit.Level) bool {
 	return cm.linked[m][lv-1]
 }
 
-// Delta returns the recorded compile charge of m at the level.
-func (cm *CacheManager) Delta(m *bytecode.Method, lv jit.Level) (energy.Delta, bool) {
+// delta returns the recorded compile charge of m at the level.
+func (cm *CacheManager) delta(m *bytecode.Method, lv jit.Level) (energy.Delta, bool) {
 	if cm.bodies[m][lv-1] == nil {
 		return energy.Delta{}, false
 	}
 	return cm.deltas[m][lv-1], true
 }
 
-// RecordDelta stores the compile charge to replay on re-compilation.
-func (cm *CacheManager) RecordDelta(m *bytecode.Method, lv jit.Level, d energy.Delta) {
+// recordDelta stores the compile charge to replay on re-compilation.
+func (cm *CacheManager) recordDelta(m *bytecode.Method, lv jit.Level, d energy.Delta) {
 	ds := cm.deltas[m]
 	ds[lv-1] = d
 	cm.deltas[m] = ds
 }
 
-// Link marks m's body linked at the level, evicting LRU bodies if the
+// link marks m's body linked at the level, evicting LRU bodies if the
 // cache is over budget.
-func (cm *CacheManager) Link(m *bytecode.Method, lv jit.Level) {
+func (cm *CacheManager) link(m *bytecode.Method, lv jit.Level) {
 	av := cm.linked[m]
 	av[lv-1] = true
 	cm.linked[m] = av
@@ -100,7 +100,7 @@ func (cm *CacheManager) Link(m *bytecode.Method, lv jit.Level) {
 	if cm.MaxBytes <= 0 {
 		return
 	}
-	for cm.LinkedBytes() > cm.MaxBytes {
+	for cm.linkedBytes() > cm.MaxBytes {
 		victim, ok := cm.oldestLinked(key)
 		if !ok {
 			return // only the newcomer is linked; nothing to evict
@@ -113,16 +113,16 @@ func (cm *CacheManager) Link(m *bytecode.Method, lv jit.Level) {
 	}
 }
 
-// UnlinkAll drops every link (an application-execution boundary: the
+// unlinkAll drops every link (an application-execution boundary: the
 // fresh classloader has no native code). Cached artifacts and their
 // recorded compile charges survive.
-func (cm *CacheManager) UnlinkAll() {
+func (cm *CacheManager) unlinkAll() {
 	cm.linked = map[*bytecode.Method][jit.NumLevels]bool{}
 	cm.lruStamp = map[cacheKey]uint64{}
 }
 
-// LinkedBytes sums the sizes of currently linked bodies.
-func (cm *CacheManager) LinkedBytes() int {
+// linkedBytes sums the sizes of currently linked bodies.
+func (cm *CacheManager) linkedBytes() int {
 	total := 0
 	for mm, av := range cm.linked {
 		for lv := 0; lv < jit.NumLevels; lv++ {

@@ -19,7 +19,7 @@ import (
 func TestEvictionRechargesCompileEnergy(t *testing.T) {
 	p := testProgram(t)
 	c := newTestClient(t, p, StrategyL2, radio.Fixed{Cls: radio.Class4}, workTarget(), vecsumTarget())
-	c.Exec.Cache.MaxBytes = 150
+	c.Cache.MaxBytes = 150
 	mW := p.FindMethod("App", "work")
 
 	argsW := []vm.Slot{vm.IntSlot(100)}
@@ -42,7 +42,7 @@ func TestEvictionRechargesCompileEnergy(t *testing.T) {
 		t.Fatal("expected evictions under a 150-byte code cache")
 	}
 	// The LRU must have unlinked the oldest bodies — work's plan.
-	if c.Exec.planLinked(mW, jit.Level2) {
+	if c.planLinked(mW, jit.Level2) {
 		t.Error("work's plan should no longer be fully linked after eviction")
 	}
 	e2 := c.VM.Acct.Component(energy.CompCompile)
@@ -56,11 +56,11 @@ func TestEvictionRechargesCompileEnergy(t *testing.T) {
 }
 
 // alwaysDownload wraps a policy and forces every compilation to the
-// download path, exercising the executor's remote-compile machinery
+// download path, exercising the client's remote-compile machinery
 // regardless of pricing.
-type alwaysDownload struct{ Policy }
+type alwaysDownload struct{ policy }
 
-func (alwaysDownload) Download(PolicyEnv, *bytecode.Method, jit.Level) bool { return true }
+func (alwaysDownload) download(*Client, *bytecode.Method, jit.Level) bool { return true }
 
 // TestEvictionRedownloadsBodies: under adaptive compilation, evicted
 // downloaded bodies are fetched from the server again on next use and
@@ -69,12 +69,12 @@ func (alwaysDownload) Download(PolicyEnv, *bytecode.Method, jit.Level) bool { re
 func TestEvictionRedownloadsBodies(t *testing.T) {
 	p := testProgram(t)
 	c := newTestClient(t, p, StrategyAA, radio.Fixed{Cls: radio.Class4}, workTarget(), vecsumTarget())
-	c.Policy = alwaysDownload{c.Policy}
-	c.Exec.Cache.MaxBytes = 150
+	c.policy = alwaysDownload{c.policy}
+	c.Cache.MaxBytes = 150
 	mW := p.FindMethod("App", "work")
 	mV := p.FindMethod("App", "vecsum")
 
-	if err := c.Exec.ensurePlanCompiled(mW, jit.Level2); err != nil {
+	if err := c.ensurePlanCompiled(mW, jit.Level2); err != nil {
 		t.Fatal(err)
 	}
 	d1 := c.Stats.RemoteCompiles
@@ -85,7 +85,7 @@ func TestEvictionRedownloadsBodies(t *testing.T) {
 		t.Fatalf("LocalCompiles = %d, want 0 under forced downloads", c.Stats.LocalCompiles)
 	}
 
-	if err := c.Exec.ensurePlanCompiled(mV, jit.Level2); err != nil {
+	if err := c.ensurePlanCompiled(mV, jit.Level2); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats.Evictions == 0 {
@@ -94,7 +94,7 @@ func TestEvictionRedownloadsBodies(t *testing.T) {
 	d2 := c.Stats.RemoteCompiles
 	rx2 := c.VM.Acct.Component(energy.CompRadioRx)
 
-	if err := c.Exec.ensurePlanCompiled(mW, jit.Level2); err != nil {
+	if err := c.ensurePlanCompiled(mW, jit.Level2); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats.RemoteCompiles <= d2 {

@@ -13,15 +13,15 @@ import (
 // Fault models, extra sinks and breaker tuning are applied through
 // functional options, so call sites name what they change instead of
 // threading positional arguments; the remaining knobs (retry budget,
-// loss timeout, policy) are exported Client fields.
+// loss timeout, code-cache budget) are exported Client fields.
 type ClientConfig struct {
 	// ID identifies the client to the server (the mobile status table
 	// and the session layer key on it).
 	ID string
 	// Prog is the application program, shared with the server.
 	Prog *bytecode.Program
-	// Server is the remote end: an in-process Server, a Session, or a
-	// TCP RemoteServer.
+	// Server is the remote end: an in-process Server, a pool
+	// (MultiRemote), or a TCP RemoteServer.
 	Server Remote
 	// Channel is the wireless channel process; nil means a fixed
 	// best-condition channel.
@@ -32,11 +32,6 @@ type ClientConfig struct {
 	// Seed seeds the client's RNG stream (channel tracking, fault
 	// draws).
 	Seed uint64
-	// Shared, when set, supplies population-wide immutable state (the
-	// program and the handset energy model); Prog may be left nil and
-	// defaults to Shared.Prog. Register the target afterwards with
-	// Client.RegisterShared.
-	Shared *FleetProgram
 }
 
 // Option tweaks a Client at construction time, after the required
@@ -48,12 +43,6 @@ type Option func(*Client)
 // on the returned client for anything an option does not cover.
 func New(cfg ClientConfig, opts ...Option) *Client {
 	model := energy.MicroSPARCIIep()
-	if cfg.Shared != nil {
-		model = cfg.Shared.Model
-		if cfg.Prog == nil {
-			cfg.Prog = cfg.Shared.Prog
-		}
-	}
 	v := vm.New(cfg.Prog, model)
 	r := rng.New(cfg.Seed)
 	ch := cfg.Channel
@@ -68,7 +57,7 @@ func New(cfg ClientConfig, opts ...Option) *Client {
 		Link:            radio.NewLink(radio.WCDMA(), ch, v.Acct, r),
 		Server:          cfg.Server,
 		Strategy:        cfg.Strategy,
-		Policy:          NewPolicy(cfg.Strategy),
+		policy:          newPolicy(cfg.Strategy),
 		Events:          &Sinks{},
 		Stats:           &Stats{},
 		Timeout:         0.05,
@@ -83,9 +72,9 @@ func New(cfg ClientConfig, opts ...Option) *Client {
 		r:               r,
 	}
 	c.Events.Attach(c.Stats)
-	c.Exec = newExecutor(c)
+	c.Cache = newCacheManager(c.Events)
 	v.Hook = c.hook
-	v.Dispatch = vm.DispatchFunc(c.Exec.dispatch)
+	v.Dispatch = vm.DispatchFunc(c.dispatch)
 	for _, opt := range opts {
 		if opt != nil {
 			opt(c)
@@ -110,11 +99,18 @@ func WithSink(s EventSink) Option {
 	}
 }
 
-// WithBreaker replaces the link circuit breaker (also the prototype
-// the per-backend breakers clone their tuning from); nil disables all
+// WithBreaker gives the client a fresh link circuit breaker with b's
+// tuning (threshold, cooldowns, probe size), which the per-backend
+// breakers clone in turn; b itself is never shared, so clients built
+// from one prototype keep independent state. nil disables all
 // breakers.
 func WithBreaker(b *Breaker) Option {
-	return func(c *Client) { c.Breaker = b }
+	return func(c *Client) {
+		c.Breaker = nil
+		if b != nil {
+			c.Breaker = b.cloneConfig()
+		}
+	}
 }
 
 // WithBackendBreakers toggles per-backend circuit breakers (on by

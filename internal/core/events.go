@@ -147,11 +147,6 @@ type Estimate struct {
 	Considered [NumModes]bool
 	// Chosen is the decided mode (the argmin over considered costs).
 	Chosen Mode
-	// Backends carries the per-backend remote candidates the ModeRemote
-	// cost was ranked from (nil for a single anonymous server), and
-	// Backend the cheapest backend's ID — the client's placement hint.
-	Backends []BackendCandidate
-	Backend  string
 }
 
 // BestCost returns the cheapest considered per-invocation estimate —

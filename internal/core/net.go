@@ -48,10 +48,10 @@ type RPCMetrics interface {
 	ConnOpened()
 	ConnClosed()
 	// Request records one completed request: its operation ("exec",
-	// "compile", "hello", "unknown"), the frame payload sizes, and
-	// whether the response was a failure frame (or, client-side, the
-	// trip errored).
-	Request(op string, reqBytes, respBytes int, failed bool)
+	// "compile", "hello", "unknown"), the frame payload sizes, and its
+	// status: "ok", "busy" for an admission shed, or "fail" for a
+	// failure frame (client-side, also a trip that errored).
+	Request(op string, reqBytes, respBytes int, status string)
 	// PanicRecovered counts handler panics converted to failure frames.
 	PanicRecovered()
 	// OversizedFrame counts frames refused for exceeding maxFrame.
@@ -65,13 +65,13 @@ type RPCMetrics interface {
 // nopRPCMetrics lets the transport call metrics unconditionally.
 type nopRPCMetrics struct{}
 
-func (nopRPCMetrics) ConnOpened()                    {}
-func (nopRPCMetrics) ConnClosed()                    {}
-func (nopRPCMetrics) Request(string, int, int, bool) {}
-func (nopRPCMetrics) PanicRecovered()                {}
-func (nopRPCMetrics) OversizedFrame()                {}
-func (nopRPCMetrics) Reconnect()                     {}
-func (nopRPCMetrics) DeadlineHit()                   {}
+func (nopRPCMetrics) ConnOpened()                      {}
+func (nopRPCMetrics) ConnClosed()                      {}
+func (nopRPCMetrics) Request(string, int, int, string) {}
+func (nopRPCMetrics) PanicRecovered()                  {}
+func (nopRPCMetrics) OversizedFrame()                  {}
+func (nopRPCMetrics) Reconnect()                       {}
+func (nopRPCMetrics) DeadlineHit()                     {}
 
 func metricsOrNop(m RPCMetrics) RPCMetrics {
 	if m == nil {
@@ -94,6 +94,22 @@ func opName(req []byte) string {
 		return "hello"
 	default:
 		return "unknown"
+	}
+}
+
+// statusName names a response frame's status for metric labels: "ok",
+// "busy" (an admission shed) or "fail".
+func statusName(resp []byte) string {
+	if len(resp) == 0 {
+		return "fail"
+	}
+	switch resp[0] {
+	case statusOK:
+		return "ok"
+	case statusBusy:
+		return "busy"
+	default:
+		return "fail"
 	}
 }
 
@@ -433,7 +449,7 @@ func (t *TCPServer) serveConn(conn net.Conn) {
 			return
 		}
 		resp := safeHandle(t.baseCtx, req, t.s, met)
-		met.Request(opName(req), len(req), len(resp), len(resp) > 0 && resp[0] == statusFail)
+		met.Request(opName(req), len(req), len(resp), statusName(resp))
 		if err := writeFrame(conn, resp); err != nil {
 			return
 		}
@@ -539,7 +555,7 @@ func failFrame(err error) []byte {
 // session; the assigned session ID rides on every subsequent request.
 // Transport failures — connection resets, missed deadlines,
 // desynchronized streams — are classified as radio.ErrConnectionLost
-// so the executor's loss machinery (timeout listen, retries, circuit
+// so the client's loss machinery (timeout listen, retries, circuit
 // breaker) handles them like any other outage; the broken connection
 // is dropped and the next call reconnects (and re-binds its session).
 // Server-reported failures (a failure frame) leave the connection open
@@ -668,7 +684,7 @@ func (r *RemoteServer) roundTrip(ctx context.Context, req []byte) (*wire, error)
 	met := metricsOrNop(r.Metrics)
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			met.Request(opName(req), len(req), 0, true)
+			met.Request(opName(req), len(req), 0, "fail")
 			return nil, err
 		}
 	}
@@ -676,7 +692,7 @@ func (r *RemoteServer) roundTrip(ctx context.Context, req []byte) (*wire, error)
 		met.Reconnect()
 		conn, err := r.dial()
 		if err != nil {
-			met.Request(opName(req), len(req), 0, true)
+			met.Request(opName(req), len(req), 0, "fail")
 			return nil, err
 		}
 		r.conn = conn
@@ -702,15 +718,15 @@ func (r *RemoteServer) roundTrip(ctx context.Context, req []byte) (*wire, error)
 		if errors.Is(err, ErrProtocol) {
 			// Oversized request: nothing hit the wire, the connection
 			// is still good.
-			met.Request(opName(req), len(req), 0, true)
+			met.Request(opName(req), len(req), 0, "fail")
 			return nil, err
 		}
-		met.Request(opName(req), len(req), 0, true)
+		met.Request(opName(req), len(req), 0, "fail")
 		return nil, r.lost(ctx, "send", err)
 	}
 	resp, err := readFrame(r.conn)
 	if err != nil {
-		met.Request(opName(req), len(req), 0, true)
+		met.Request(opName(req), len(req), 0, "fail")
 		var ve *VersionError
 		if errors.As(err, &ve) {
 			// The peer speaks another protocol version; surface that
@@ -727,13 +743,12 @@ func (r *RemoteServer) roundTrip(ctx context.Context, req []byte) (*wire, error)
 		r.conn.SetDeadline(time.Time{}) //nolint:errcheck
 	}
 	m := &wire{buf: resp}
+	met.Request(opName(req), len(req), len(resp), statusName(resp))
 	switch m.rdU8() {
 	case statusOK:
-		met.Request(opName(req), len(req), len(resp), false)
 		return m, nil
 	case statusBusy:
 		depth := int(m.rdU32())
-		met.Request(opName(req), len(req), len(resp), true)
 		if m.err != nil {
 			return nil, r.lost(ctx, "decode", m.err)
 		}
@@ -741,7 +756,6 @@ func (r *RemoteServer) roundTrip(ctx context.Context, req []byte) (*wire, error)
 		return nil, &BusyError{QueueDepth: depth}
 	default:
 		msg := m.rdStr()
-		met.Request(opName(req), len(req), len(resp), true)
 		if m.err != nil {
 			return nil, r.lost(ctx, "decode", m.err)
 		}

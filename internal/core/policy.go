@@ -2,134 +2,71 @@ package core
 
 import (
 	"greenvm/internal/bytecode"
-	"greenvm/internal/energy"
 	"greenvm/internal/jit"
 )
 
-// The policy layer is the paper's contribution isolated behind one
-// interface: per invocation of a potential method, decide where to
-// execute (locally or remote) and how (interpreted or compiled), and
-// — for adaptive compilation — where to obtain compiled bodies. The
-// Client consults its Policy and never branches on the strategy
-// itself, so new policies plug in without touching the runtime.
+// The policy is the paper's decision rule: per invocation of a
+// potential method, decide where to execute (locally or remote) and
+// how (interpreted or compiled), and — for adaptive compilation —
+// where to obtain compiled bodies. It prices the alternatives through
+// the Client's own estimators (channel power, offload energy E'',
+// compile and download costs); the Client consults it and never
+// branches on the strategy itself.
 
-// InvokeContext is everything a Policy may look at for one decision.
-type InvokeContext struct {
-	// Method is the potential method being invoked.
-	Method *bytecode.Method
-	// Prof is the method's offline profile (nil when unprofiled).
-	Prof *Profile
-	// Size is the invocation's measured size parameter.
-	Size float64
-	// Env prices the alternatives against live client state (channel
-	// estimate, compiled-code state, compiler-load status).
-	Env PolicyEnv
-}
-
-// Decision is a Policy's verdict for one invocation. Est, when
-// non-nil, carries the per-mode predicted costs the verdict was
-// ranked on; the Client emits it as one EvEstimate so the auditor can
-// compare prediction with outcome (static policies predict nothing
-// and leave it nil).
-type Decision struct {
-	Mode Mode
-	Est  *Estimate
-}
-
-// Policy decides execution mode and compilation site. Implementations
-// hold all per-method adaptive state themselves; the Client only
-// routes calls.
-type Policy interface {
-	// Decide picks the execution mode for one invocation.
-	Decide(ctx *InvokeContext) Decision
-	// BestLocalMode picks the cheapest local mode; the executor uses
-	// it when a remote execution is lost and must re-run locally.
-	BestLocalMode(ctx *InvokeContext) Mode
-	// Download reports whether the body of mm at the level should be
+// policy decides execution mode and compilation site. Implementations
+// hold all per-method adaptive state themselves.
+type policy interface {
+	// decide picks the execution mode for one invocation of m at size
+	// parameter size. The estimate, when non-nil, carries the per-mode
+	// predicted costs the verdict was ranked on; the Client emits it as
+	// one EvEstimate so the auditor can compare prediction with outcome
+	// (static policies predict nothing).
+	decide(c *Client, m *bytecode.Method, size float64) (Mode, *Estimate)
+	// bestLocalMode picks the cheapest local mode; the client uses it
+	// when a remote execution is lost and must re-run locally.
+	bestLocalMode(c *Client, m *bytecode.Method, size float64) Mode
+	// download reports whether the body of mm at the level should be
 	// fetched pre-compiled from the server rather than compiled
 	// locally (the paper's adaptive compilation, §3.3).
-	Download(env PolicyEnv, mm *bytecode.Method, lv jit.Level) bool
-	// NewExecution marks an application-execution boundary: fresh
+	download(c *Client, mm *bytecode.Method, lv jit.Level) bool
+	// newExecution marks an application-execution boundary: fresh
 	// class loading resets per-execution amortization; device-level
 	// state (EWMA channel and size predictions) persists.
-	NewExecution()
+	newExecution()
 }
 
-// PolicyEnv is the read-only pricing view a Policy consults. The
-// Client implements it; estimates reflect its current channel
-// estimate and compiled-code state.
-type PolicyEnv interface {
-	// TxPowerEstimate is the transmit-chain power (W) at the current
-	// channel estimate.
-	TxPowerEstimate() float64
-	// RemoteEnergy is E''(m, s, p): the estimated energy to offload
-	// one invocation of size s at predicted transmit power p — the
-	// cheapest backend's candidate.
-	RemoteEnergy(prof *Profile, s, p float64) energy.Joules
-	// RemoteCandidates prices one offload candidate per backend (a
-	// single ID-"" entry for one anonymous server) and returns the
-	// index of the cheapest — the placement hint the client will send
-	// if the policy decides ModeRemote.
-	RemoteCandidates(prof *Profile, s, p float64) ([]BackendCandidate, int)
-	// PlanCompileCost estimates making m's whole compilation plan
-	// executable at the level: zero when already linked; otherwise
-	// the profiled local compile cost (plus the once-per-execution
-	// compiler-classes load) or, when allowDownload, the cheaper of
-	// that and downloading the pre-compiled bodies.
-	PlanCompileCost(m *bytecode.Method, prof *Profile, lv jit.Level, allowDownload bool) energy.Joules
-	// BodyCompileCost is the profiled energy to compile one method
-	// body locally (including a pending compiler load); ok is false
-	// when the method was never profiled.
-	BodyCompileCost(mm *bytecode.Method, lv jit.Level) (e energy.Joules, ok bool)
-	// BodyDownloadCost prices downloading one pre-compiled body at
-	// the current channel estimate; ok is false when the body's size
-	// was never profiled.
-	BodyDownloadCost(mm *bytecode.Method, lv jit.Level) (e energy.Joules, ok bool)
-	// ChargeDecisionOverhead bills the decision computation itself to
-	// the client (the paper notes it is small).
-	ChargeDecisionOverhead()
-	// RemoteAvailable reports whether remote options (offloading,
-	// body download) may be considered right now. While the link's
-	// circuit breaker is open this is false at no cost; when the
-	// breaker is half-open it runs the probe (charged to the radio
-	// account) and reports the outcome.
-	RemoteAvailable() bool
-}
-
-// NewPolicy returns the paper's policy for a strategy: fixed-mode for
+// newPolicy returns the paper's policy for a strategy: fixed-mode for
 // the five static strategies, EWMA-amortized adaptive execution for
 // AL, plus adaptive compilation for AA.
-func NewPolicy(s Strategy) Policy {
+func newPolicy(s Strategy) policy {
 	switch s {
 	case StrategyAL:
-		return NewAdaptivePolicy(false)
+		return newAdaptivePolicy(false)
 	case StrategyAA:
-		return NewAdaptivePolicy(true)
+		return newAdaptivePolicy(true)
 	default:
-		return StaticPolicy{Mode: s.StaticMode()}
+		return staticPolicy{mode: s.StaticMode()}
 	}
 }
 
-// StaticPolicy always picks one mode (strategies R, I, L1, L2, L3).
-type StaticPolicy struct {
-	Mode Mode
+// staticPolicy always picks one mode (strategies R, I, L1, L2, L3).
+type staticPolicy struct {
+	mode Mode
 }
 
-// Decide implements Policy.
-func (p StaticPolicy) Decide(*InvokeContext) Decision { return Decision{Mode: p.Mode} }
-
-// BestLocalMode implements Policy: cheapest local mode with local
-// compilation pricing.
-func (p StaticPolicy) BestLocalMode(ctx *InvokeContext) Mode {
-	return cheapestLocalMode(ctx, false)
+func (p staticPolicy) decide(*Client, *bytecode.Method, float64) (Mode, *Estimate) {
+	return p.mode, nil
 }
 
-// Download implements Policy: static strategies always compile
-// locally.
-func (p StaticPolicy) Download(PolicyEnv, *bytecode.Method, jit.Level) bool { return false }
+// bestLocalMode prices compilation locally.
+func (p staticPolicy) bestLocalMode(c *Client, m *bytecode.Method, size float64) Mode {
+	return cheapestLocalMode(c, m, size, false)
+}
 
-// NewExecution implements Policy (no per-execution state).
-func (p StaticPolicy) NewExecution() {}
+// download is always false: static strategies compile locally.
+func (p staticPolicy) download(*Client, *bytecode.Method, jit.Level) bool { return false }
+
+func (p staticPolicy) newExecution() {}
 
 // adaptState is the per-method state of the adaptive policies.
 type adaptState struct {
@@ -138,83 +75,79 @@ type adaptState struct {
 	pBar float64 // predicted transmit-chain power (W)
 }
 
-// AdaptivePolicy implements the paper's adaptive strategies: an EWMA
+// adaptivePolicy implements the paper's adaptive strategies: an EWMA
 // predicts the future size parameter and communication power, and the
 // k-amortized energy estimates of interpretation, offloading and each
-// compiled level are compared per invocation. With AdaptiveCompile it
+// compiled level are compared per invocation. With adaptiveCompile it
 // also chooses the compilation site (AA); otherwise it always
 // compiles locally (AL).
-type AdaptivePolicy struct {
-	// U1 and U2 weight the EWMA prediction of future size parameter
+type adaptivePolicy struct {
+	// u1 and u2 weight the EWMA prediction of future size parameter
 	// and communication power (paper: both 0.7).
-	U1, U2 float64
-	// AdaptiveCompile additionally prices downloading pre-compiled
+	u1, u2 float64
+	// adaptiveCompile additionally prices downloading pre-compiled
 	// bodies against local compilation.
-	AdaptiveCompile bool
+	adaptiveCompile bool
 
 	state map[*bytecode.Method]*adaptState
 }
 
-// NewAdaptivePolicy returns an adaptive policy with the paper's EWMA
+// newAdaptivePolicy returns an adaptive policy with the paper's EWMA
 // weights.
-func NewAdaptivePolicy(adaptiveCompile bool) *AdaptivePolicy {
-	return &AdaptivePolicy{
-		U1:              0.7,
-		U2:              0.7,
-		AdaptiveCompile: adaptiveCompile,
+func newAdaptivePolicy(adaptiveCompile bool) *adaptivePolicy {
+	return &adaptivePolicy{
+		u1:              0.7,
+		u2:              0.7,
+		adaptiveCompile: adaptiveCompile,
 		state:           map[*bytecode.Method]*adaptState{},
 	}
 }
 
-// Decide implements Policy: the paper's amortized comparison.
-func (p *AdaptivePolicy) Decide(ctx *InvokeContext) Decision {
-	st := p.state[ctx.Method]
+// decide is the paper's amortized comparison.
+func (p *adaptivePolicy) decide(c *Client, m *bytecode.Method, size float64) (Mode, *Estimate) {
+	st := p.state[m]
 	if st == nil {
 		st = &adaptState{}
-		p.state[ctx.Method] = st
+		p.state[m] = st
 	}
 	// EWMA prediction of future size and communication power
 	// (sk1 = u1*sk-1 + (1-u1)*sk, pk likewise; u1 = u2 = 0.7).
-	pNow := ctx.Env.TxPowerEstimate()
+	pNow := c.txPowerEstimate()
 	if st.k == 0 {
-		st.sBar, st.pBar = ctx.Size, pNow
+		st.sBar, st.pBar = size, pNow
 	} else {
-		st.sBar = p.U1*st.sBar + (1-p.U1)*ctx.Size
-		st.pBar = p.U2*st.pBar + (1-p.U2)*pNow
+		st.sBar = p.u1*st.sBar + (1-p.u1)*size
+		st.pBar = p.u2*st.pBar + (1-p.u2)*pNow
 	}
 	st.k++
 	k := float64(st.k)
 
-	ctx.Env.ChargeDecisionOverhead()
+	c.chargeDecisionOverhead()
 
 	// The estimate records the ranked costs per invocation (the
 	// amortized totals divided by k), so the auditor can hold them
 	// against the measured EvInvoke energy.
 	est := &Estimate{K: st.k, PredSize: st.sBar, PredPower: st.pBar}
 
-	prof := ctx.Prof
+	prof := c.profiles[m]
 	best, bestE := ModeInterp, k*prof.EnergyOf[ModeInterp].Eval(st.sBar)
 	est.Cost[ModeInterp] = bestE / k
 	est.Considered[ModeInterp] = true
 	// A Down link takes the remote option off the table entirely (the
 	// circuit breaker's graceful degradation); the half-open probe
-	// inside RemoteAvailable is what re-admits it.
-	if ctx.Env.RemoteAvailable() {
-		cands, ci := ctx.Env.RemoteCandidates(prof, st.sBar, st.pBar)
-		eR := k * cands[ci].Cost
+	// inside remoteAvailable is what re-admits it.
+	if c.remoteAvailable() {
+		cost, _ := c.remoteEnergy(prof, st.sBar, st.pBar)
+		eR := k * float64(cost)
 		est.Cost[ModeRemote] = eR / k
 		est.Considered[ModeRemote] = true
-		if len(cands) > 1 || cands[0].ID != "" {
-			est.Backends = cands
-			est.Backend = cands[ci].ID
-		}
 		if eR < bestE {
 			best, bestE = ModeRemote, eR
 		}
 	}
 	for mode := ModeL1; mode <= ModeL3; mode++ {
 		e := k * prof.EnergyOf[mode].Eval(st.sBar)
-		e += float64(ctx.Env.PlanCompileCost(ctx.Method, prof, mode.Level(), p.AdaptiveCompile))
+		e += float64(c.planCompileCost(m, prof, mode.Level(), p.adaptiveCompile))
 		est.Cost[mode] = e / k
 		est.Considered[mode] = true
 		if e < bestE {
@@ -222,65 +155,57 @@ func (p *AdaptivePolicy) Decide(ctx *InvokeContext) Decision {
 		}
 	}
 	est.Chosen = best
-	return Decision{Mode: best, Est: est}
+	return best, est
 }
 
-// BestLocalMode implements Policy.
-func (p *AdaptivePolicy) BestLocalMode(ctx *InvokeContext) Mode {
-	return cheapestLocalMode(ctx, p.AdaptiveCompile)
+func (p *adaptivePolicy) bestLocalMode(c *Client, m *bytecode.Method, size float64) Mode {
+	return cheapestLocalMode(c, m, size, p.adaptiveCompile)
 }
 
-// Download implements Policy: compare the profiled local compile
-// energy with the download cost at the current channel estimate
-// (paper §3.3); unprofiled bodies compile locally.
-func (p *AdaptivePolicy) Download(env PolicyEnv, mm *bytecode.Method, lv jit.Level) bool {
-	if !p.AdaptiveCompile {
+// download compares the profiled local compile energy with the
+// download cost at the current channel estimate (paper §3.3);
+// unprofiled bodies compile locally.
+func (p *adaptivePolicy) download(c *Client, mm *bytecode.Method, lv jit.Level) bool {
+	if !p.adaptiveCompile {
 		return false
 	}
-	if !env.RemoteAvailable() {
+	if !c.remoteAvailable() {
 		return false
 	}
-	local, ok := env.BodyCompileCost(mm, lv)
+	local, ok := c.bodyCompileCost(mm, lv)
 	if !ok {
 		return false
 	}
-	remote, ok := env.BodyDownloadCost(mm, lv)
+	remote, ok := c.bodyDownloadCost(mm, lv)
 	if !ok {
 		return false
 	}
 	return remote < local
 }
 
-// NewExecution implements Policy: invocation counts reset with the
-// fresh execution; the EWMA predictions persist (they are
-// device-level state, like the pilot-signal tracker).
-func (p *AdaptivePolicy) NewExecution() {
+// newExecution resets the invocation counts with the fresh execution;
+// the EWMA predictions persist (they are device-level state, like the
+// pilot-signal tracker).
+func (p *adaptivePolicy) newExecution() {
 	for _, st := range p.state {
 		st.k = 0
 	}
 }
 
 // cheapestLocalMode picks the cheapest local mode for the fallback
-// path, pricing compilation through the env.
-func cheapestLocalMode(ctx *InvokeContext, allowDownload bool) Mode {
-	prof := ctx.Prof
+// path, pricing compilation through the client.
+func cheapestLocalMode(c *Client, m *bytecode.Method, size float64, allowDownload bool) Mode {
+	prof := c.profiles[m]
 	if prof == nil {
 		return ModeInterp
 	}
-	best, bestE := ModeInterp, prof.EnergyOf[ModeInterp].Eval(ctx.Size)
+	best, bestE := ModeInterp, prof.EnergyOf[ModeInterp].Eval(size)
 	for mode := ModeL1; mode <= ModeL3; mode++ {
-		e := prof.EnergyOf[mode].Eval(ctx.Size) +
-			float64(ctx.Env.PlanCompileCost(ctx.Method, prof, mode.Level(), allowDownload))
+		e := prof.EnergyOf[mode].Eval(size) +
+			float64(c.planCompileCost(m, prof, mode.Level(), allowDownload))
 		if e < bestE {
 			best, bestE = mode, e
 		}
 	}
 	return best
 }
-
-// Compile-time checks: the static and adaptive policies cover all
-// seven paper strategies.
-var (
-	_ Policy = StaticPolicy{}
-	_ Policy = (*AdaptivePolicy)(nil)
-)

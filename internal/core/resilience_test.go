@@ -18,9 +18,9 @@ type scriptedFault struct {
 	n    int
 }
 
-func (f *scriptedFault) Judge(dir radio.Direction, r *rng.RNG) radio.Verdict {
+func (f *scriptedFault) Judge(r *rng.RNG) bool {
 	f.n++
-	return radio.Verdict{Lost: f.down(f.n - 1)}
+	return f.down(f.n - 1)
 }
 
 func TestBreakerStateMachine(t *testing.T) {
@@ -201,7 +201,7 @@ func TestRetriesChargedAndCounted(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetExhausted: under a dead link the executor retries at
+// TestRetryBudgetExhausted: under a dead link the client retries at
 // most MaxRetries times, then falls back locally.
 func TestRetryBudgetExhausted(t *testing.T) {
 	p := testProgram(t)
@@ -222,7 +222,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 }
 
 // TestRetrySkippedWhenLocalCheaper: when the estimator prices a retry
-// above the best local mode, the executor falls back immediately.
+// above the best local mode, the client falls back immediately.
 func TestRetrySkippedWhenLocalCheaper(t *testing.T) {
 	p := testProgram(t)
 	// Class 1: 5.88 W transmit makes remote far costlier than local

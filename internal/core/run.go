@@ -11,84 +11,58 @@ import (
 	"greenvm/internal/vm"
 )
 
-// Executor owns the execution paths a Decision can select —
-// interpreted, JIT-compiled at a level, or offloaded to the server —
-// plus the machinery they share: compiled-body management (via the
-// CacheManager), the ambient execution level, compiler-classes
-// loading, and the connection-loss fallback. It carries no decision
-// logic; the Policy decides, the Executor does.
-type Executor struct {
-	// Cache manages compiled bodies and their linking/eviction.
-	Cache *CacheManager
-
-	c              *Client
-	levelStack     []jit.Level // 0 = interpret
-	compilerLoaded bool
-}
-
-func newExecutor(c *Client) *Executor {
-	return &Executor{c: c, Cache: NewCacheManager(c.Events)}
-}
-
-// CompilerLoaded reports whether the compiler classes are loaded in
-// the current execution (their load energy is charged once per
-// execution that compiles locally).
-func (x *Executor) CompilerLoaded() bool { return x.compilerLoaded }
-
-// NewExecution drops per-execution state: linked bodies and the
-// loaded compiler classes.
-func (x *Executor) NewExecution() {
-	x.Cache.UnlinkAll()
-	x.compilerLoaded = false
-}
+// The execution paths the policy's mode selects — interpreted,
+// JIT-compiled at a level, or offloaded to the server — plus what they
+// share: compiled bodies (through the Client's CacheManager), the
+// ambient execution level, compiler-classes loading, and the
+// connection-loss fallback. Nothing here decides; the policy does.
 
 // currentLevel is the ambient execution level (0 = interpret).
-func (x *Executor) currentLevel() jit.Level {
-	if len(x.levelStack) == 0 {
+func (c *Client) currentLevel() jit.Level {
+	if len(c.levelStack) == 0 {
 		return 0
 	}
-	return x.levelStack[len(x.levelStack)-1]
+	return c.levelStack[len(c.levelStack)-1]
 }
 
 // dispatch picks the body for any method executed locally: the one
 // compiled at the ambient level, when available.
-func (x *Executor) dispatch(m *bytecode.Method) *isa.Code {
-	lv := x.currentLevel()
-	if lv == 0 || !x.Cache.Linked(m, lv) {
+func (c *Client) dispatch(m *bytecode.Method) *isa.Code {
+	lv := c.currentLevel()
+	if lv == 0 || !c.Cache.isLinked(m, lv) {
 		return nil
 	}
-	return x.Cache.Body(m, lv)
+	return c.Cache.body(m, lv)
 }
 
 // planLinked reports whether m's whole plan is linked at the level in
 // the current execution.
-func (x *Executor) planLinked(m *bytecode.Method, lv jit.Level) bool {
-	for _, mm := range x.c.plans[m] {
-		if !x.Cache.Linked(mm, lv) {
+func (c *Client) planLinked(m *bytecode.Method, lv jit.Level) bool {
+	for _, mm := range c.plans[m] {
+		if !c.Cache.isLinked(mm, lv) {
 			return false
 		}
 	}
 	return true
 }
 
-// Run executes m in the given mode, falling back to the policy's best
+// run executes m in the given mode, falling back to the policy's best
 // local mode on connection loss or an admission-control rejection.
-func (x *Executor) Run(mode Mode, m *bytecode.Method, t *Target, size float64, args []vm.Slot) (vm.Slot, bool, error) {
-	c := x.c
+func (c *Client) run(mode Mode, m *bytecode.Method, t *Target, size float64, args []vm.Slot) (vm.Slot, bool, error) {
 	if mode == ModeRemote {
-		res, err := x.remoteWithRetries(m, t, size, args)
+		res, err := c.remoteWithRetries(m, t, size, args)
 		if err == nil {
 			return res, false, nil
 		}
 		if !errors.Is(err, radio.ErrConnectionLost) && !errors.Is(err, ErrServerBusy) {
 			return vm.Slot{}, false, err
 		}
-		local := c.Policy.BestLocalMode(&InvokeContext{Method: m, Prof: c.profiles[m], Size: size, Env: c})
-		res, _, err = x.Run(local, m, t, size, args)
+		local := c.policy.bestLocalMode(c, m, size)
+		res, _, err = c.run(local, m, t, size, args)
 		return res, true, err
 	}
 	if mode.IsCompiled() {
-		if err := x.ensurePlanCompiled(m, mode.Level()); err != nil {
+		if err := c.ensurePlanCompiled(m, mode.Level()); err != nil {
 			return vm.Slot{}, false, err
 		}
 	}
@@ -99,13 +73,13 @@ func (x *Executor) Run(mode Mode, m *bytecode.Method, t *Target, size float64, a
 		c.VM.Acct.Apply(d)
 		c.Events.Emit(Event{Kind: EvMemoHit, Method: m, Mode: mode, At: c.Clock})
 		c.syncClock()
-		x.emitLocalPhase(m, mode, start)
+		c.emitLocalPhase(m, mode, start)
 		return vm.Slot{}, false, nil
 	}
 	snap := c.VM.Acct.Snapshot()
-	x.levelStack = append(x.levelStack, levelOf(mode))
+	c.levelStack = append(c.levelStack, levelOf(mode))
 	res, err := c.VM.Invoke(m, args)
-	x.levelStack = x.levelStack[:len(x.levelStack)-1]
+	c.levelStack = c.levelStack[:len(c.levelStack)-1]
 	if err != nil {
 		return res, false, err
 	}
@@ -116,14 +90,13 @@ func (x *Executor) Run(mode Mode, m *bytecode.Method, t *Target, size float64, a
 		c.replays[key] = c.VM.Acct.DeltaSince(snap)
 	}
 	c.syncClock()
-	x.emitLocalPhase(m, mode, start)
+	c.emitLocalPhase(m, mode, start)
 	return res, false, nil
 }
 
 // emitLocalPhase emits the interpret/native timeline span of one
 // local execution, [start, Clock].
-func (x *Executor) emitLocalPhase(m *bytecode.Method, mode Mode, start energy.Seconds) {
-	c := x.c
+func (c *Client) emitLocalPhase(m *bytecode.Method, mode Mode, start energy.Seconds) {
 	ph, lv := PhaseInterp, jit.Level(0)
 	if mode.IsCompiled() {
 		ph, lv = PhaseNative, mode.Level()
@@ -146,9 +119,8 @@ func levelOf(mode Mode) jit.Level {
 // estimator still prices a retry below the best local mode, and the
 // breaker has not opened — and each retry first pays an
 // exponentially growing backoff listen window.
-func (x *Executor) remoteWithRetries(m *bytecode.Method, t *Target, size float64, args []vm.Slot) (vm.Slot, error) {
-	c := x.c
-	if !c.RemoteAvailable() {
+func (c *Client) remoteWithRetries(m *bytecode.Method, t *Target, size float64, args []vm.Slot) (vm.Slot, error) {
+	if !c.remoteAvailable() {
 		return vm.Slot{}, radio.ErrConnectionLost
 	}
 	backoff := c.RetryBackoff
@@ -160,7 +132,7 @@ func (x *Executor) remoteWithRetries(m *bytecode.Method, t *Target, size float64
 		if err := ctx.Err(); err != nil {
 			return vm.Slot{}, err
 		}
-		res, err := x.remoteExecute(m, t, size, args)
+		res, err := c.remoteExecute(m, t, size, args)
 		if err == nil {
 			c.noteRemoteSuccessOn(c.lastServed)
 			return res, nil
@@ -198,15 +170,15 @@ func (x *Executor) remoteWithRetries(m *bytecode.Method, t *Target, size float64
 		if errors.As(err, &be) {
 			failed = be.Backend
 		}
-		x.listen(m, c.Timeout)
+		c.listen(m, c.Timeout)
 		c.noteRemoteFailureOn(failed)
-		if attempt >= c.MaxRetries || !c.retryWorthwhile(m, size) || !c.RemoteAvailable() || ctx.Err() != nil {
+		if attempt >= c.MaxRetries || !c.retryWorthwhile(m, size) || !c.remoteAvailable() || ctx.Err() != nil {
 			return vm.Slot{}, err
 		}
 		// Back off before re-attempting, receiver up (the client keeps
 		// listening for the base station), then retry with real
 		// transmit energy.
-		x.listen(m, backoff)
+		c.listen(m, backoff)
 		backoff *= 2
 		c.Events.Emit(Event{Kind: EvRetry, Method: m, At: c.Clock, Radio: c.Link.Telemetry()})
 		if failed != "" {
@@ -218,8 +190,7 @@ func (x *Executor) remoteWithRetries(m *bytecode.Method, t *Target, size float64
 }
 
 // listen charges one receiver-up window and emits its timeline span.
-func (x *Executor) listen(m *bytecode.Method, d energy.Seconds) {
-	c := x.c
+func (c *Client) listen(m *bytecode.Method, d energy.Seconds) {
 	start := c.Clock
 	c.Link.Listen(d)
 	c.Clock += d
@@ -230,8 +201,7 @@ func (x *Executor) listen(m *bytecode.Method, d energy.Seconds) {
 // transmit, power down for the estimated server time, wake, receive
 // and deserialize the result. The whole exchange is one PhaseShip
 // timeline span; a lost exchange emits it with FellBack set.
-func (x *Executor) remoteExecute(m *bytecode.Method, t *Target, size float64, args []vm.Slot) (res vm.Slot, err error) {
-	c := x.c
+func (c *Client) remoteExecute(m *bytecode.Method, t *Target, size float64, args []vm.Slot) (res vm.Slot, err error) {
 	c.syncClock()
 	shipStart := c.Clock
 	defer func() {
@@ -317,15 +287,14 @@ func (x *Executor) remoteExecute(m *bytecode.Method, t *Target, size float64, ar
 // ensurePlanCompiled makes every method of m's plan executable at the
 // level, compiling locally or — when the policy says so — downloading
 // pre-compiled bodies.
-func (x *Executor) ensurePlanCompiled(m *bytecode.Method, lv jit.Level) error {
-	c := x.c
+func (c *Client) ensurePlanCompiled(m *bytecode.Method, lv jit.Level) error {
 	for _, mm := range c.plans[m] {
-		if x.Cache.Linked(mm, lv) {
+		if c.Cache.isLinked(mm, lv) {
 			continue
 		}
-		if c.Policy.Download(c, mm, lv) {
-			if err := x.downloadBody(mm, lv); err == nil {
-				c.noteRemoteSuccess()
+		if c.policy.download(c, mm, lv) {
+			if err := c.downloadBody(mm, lv); err == nil {
+				c.noteRemoteSuccessOn("")
 				continue
 			} else if errors.Is(err, ErrServerBusy) {
 				// The server shed the download; compile locally and
@@ -342,11 +311,11 @@ func (x *Executor) ensurePlanCompiled(m *bytecode.Method, lv jit.Level) error {
 				return err
 			} else {
 				// Connection lost: fall through to local compilation.
-				c.noteRemoteFailure()
+				c.noteRemoteFailureOn("")
 				c.Events.Emit(Event{Kind: EvFallback, Method: mm, Level: lv, At: c.Clock, Radio: c.Link.Telemetry()})
 			}
 		}
-		if err := x.compileLocally(mm, lv); err != nil {
+		if err := c.compileLocally(mm, lv); err != nil {
 			return err
 		}
 	}
@@ -358,8 +327,7 @@ func (x *Executor) ensurePlanCompiled(m *bytecode.Method, lv jit.Level) error {
 // already fetched in a previous execution is re-downloaded (the fresh
 // classloader has no native code), but the simulator reuses the
 // artifact.
-func (x *Executor) downloadBody(mm *bytecode.Method, lv jit.Level) (err error) {
-	c := x.c
+func (c *Client) downloadBody(mm *bytecode.Method, lv jit.Level) (err error) {
 	c.syncClock()
 	dlStart := c.Clock
 	defer func() {
@@ -372,7 +340,7 @@ func (x *Executor) downloadBody(mm *bytecode.Method, lv jit.Level) (err error) {
 	if err != nil {
 		return err
 	}
-	code := x.Cache.Body(mm, lv)
+	code := c.Cache.body(mm, lv)
 	size := 0
 	if code != nil {
 		size = code.SizeBytes()
@@ -382,7 +350,7 @@ func (x *Executor) downloadBody(mm *bytecode.Method, lv jit.Level) (err error) {
 			return err
 		}
 		c.VM.InstallCode(code)
-		x.Cache.Install(mm, lv, code)
+		c.Cache.install(mm, lv, code)
 	}
 	tRx, err := c.Link.Recv(size)
 	c.Clock += tRx
@@ -391,7 +359,7 @@ func (x *Executor) downloadBody(mm *bytecode.Method, lv jit.Level) (err error) {
 	}
 	// Linking the downloaded code into the VM.
 	c.VM.ChargeSerialization(size)
-	x.Cache.Link(mm, lv)
+	c.Cache.link(mm, lv)
 	c.syncClock()
 	c.Events.Emit(Event{Kind: EvRemoteCompile, Method: mm, Level: lv, At: c.Clock})
 	return nil
@@ -401,15 +369,14 @@ func (x *Executor) downloadBody(mm *bytecode.Method, lv jit.Level) (err error) {
 // the once-per-execution compiler-classes load). Re-compilations in
 // later executions replay the recorded charges without re-running the
 // JIT.
-func (x *Executor) compileLocally(mm *bytecode.Method, lv jit.Level) error {
-	c := x.c
+func (c *Client) compileLocally(mm *bytecode.Method, lv jit.Level) error {
 	c.syncClock()
 	start := c.Clock
-	if !x.compilerLoaded {
+	if !c.compilerLoaded {
 		jit.ChargeCompilerLoad(c.VM.Acct)
-		x.compilerLoaded = true
+		c.compilerLoaded = true
 	}
-	if d, ok := x.Cache.Delta(mm, lv); ok {
+	if d, ok := c.Cache.delta(mm, lv); ok {
 		c.VM.Acct.Apply(d)
 	} else {
 		snap := c.VM.Acct.Snapshot()
@@ -419,10 +386,10 @@ func (x *Executor) compileLocally(mm *bytecode.Method, lv jit.Level) error {
 		}
 		st.Charge(c.VM.Acct)
 		c.VM.InstallCode(code)
-		x.Cache.Install(mm, lv, code)
-		x.Cache.RecordDelta(mm, lv, c.VM.Acct.DeltaSince(snap))
+		c.Cache.install(mm, lv, code)
+		c.Cache.recordDelta(mm, lv, c.VM.Acct.DeltaSince(snap))
 	}
-	x.Cache.Link(mm, lv)
+	c.Cache.link(mm, lv)
 	c.syncClock()
 	c.Events.Emit(Event{Kind: EvPhase, Phase: PhaseCompile, Method: mm, Level: lv,
 		At: start, Time: c.Clock - start})

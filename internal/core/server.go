@@ -14,10 +14,10 @@ import (
 
 // Remote is the server-side interface the client depends on: execute
 // an offloaded method, or hand out a pre-compiled native body. It is
-// implemented by the in-process Server, by the Session layer that
-// multiplexes many clients onto one Server, and by the TCP adapter
-// (DialServer) that talks to a server in another process, mirroring
-// the paper's two-workstation prototype. ctx cancels in-flight calls
+// implemented by the in-process Server, by the fleet's backend pools
+// (MultiRemote), and by the TCP adapter (DialServer) that talks to a
+// server in another process, mirroring the paper's two-workstation
+// prototype. ctx cancels in-flight calls
 // (a nil ctx is tolerated and means context.Background()); an
 // overloaded implementation may reject with a BusyError.
 type Remote interface {

@@ -7,19 +7,17 @@ import (
 	"sync"
 
 	"greenvm/internal/energy"
-	"greenvm/internal/isa"
-	"greenvm/internal/jit"
 )
 
 // The session layer multiplexes many clients onto one Server. Each
-// client holds a Session with its own serialization cache. Admission
+// client has a Session there with its own serialization cache. Admission
 // control — a bounded worker pool plus a bounded waiting queue — sits
 // in front of the sessions, so a fleet of handsets contending for
 // offload service degrades by shedding requests with a typed busy
 // error instead of queueing without bound. The TCP server admits in
 // real time (sessionServer below); the fleet simulator admits in
 // virtual time (internal/fleet). Clients price the busy error into
-// their offload decision (see Client.RemoteEnergy), so an overloaded
+// their offload decision (see Client.remoteEnergy), so an overloaded
 // server observably pushes work back to local execution.
 
 // ErrServerBusy is the sentinel for admission-control rejections: the
@@ -86,21 +84,6 @@ func (cfg SessionConfig) WithDefaults() SessionConfig {
 	return cfg
 }
 
-// sessionServerStats is a snapshot of a sessionServer's admission
-// counters.
-type sessionServerStats struct {
-	// Sessions is the number of sessions the server has opened.
-	Sessions int
-	// Served counts requests that obtained a worker; Shed counts
-	// admission rejections; CacheHits counts requests answered from a
-	// session's serialization cache.
-	Served    int
-	Shed      int
-	CacheHits int
-	// MaxQueueDepth is the high-water mark of the waiting queue.
-	MaxQueueDepth int
-}
-
 // sessionServer is the TCP server's real-time admission control in
 // front of a Server's sessions. It is safe for concurrent use.
 type sessionServer struct {
@@ -115,13 +98,10 @@ type sessionServer struct {
 	// Admission state: running counts requests holding a worker;
 	// waiters holds the per-session FIFO queues of blocked requests,
 	// and rr the round-robin rotation of session IDs with waiters.
-	running  int
-	waiting  int
-	waiters  map[uint32][]chan struct{}
-	rr       []uint32
-	served   int
-	shed     int
-	maxDepth int
+	running int
+	waiting int
+	waiters map[uint32][]chan struct{}
+	rr      []uint32
 }
 
 func newSessionServer(s *Server, cfg SessionConfig) *sessionServer {
@@ -160,22 +140,6 @@ func (t *sessionServer) lookup(id uint32) *Session {
 	return t.sessions[id]
 }
 
-// stats snapshots the admission counters.
-func (t *sessionServer) stats() sessionServerStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := sessionServerStats{
-		Sessions:      len(t.sessions),
-		Served:        t.served,
-		Shed:          t.shed,
-		MaxQueueDepth: t.maxDepth,
-	}
-	for _, s := range t.sessions {
-		st.CacheHits += s.Stats().CacheHits
-	}
-	return st
-}
-
 // execute admits one request for the session, then runs it: a full
 // queue sheds the request with a BusyError before any server work
 // happens.
@@ -186,9 +150,6 @@ func (t *sessionServer) execute(ctx context.Context, sess *Session, clientID, cl
 		return nil, 0, false, err
 	}
 	defer t.release()
-	t.mu.Lock()
-	t.served++
-	t.mu.Unlock()
 	return sess.Execute(ctx, clientID, class, method, argBytes, reqTime, estEnd)
 }
 
@@ -205,7 +166,6 @@ func (t *sessionServer) acquire(ctx context.Context, sid uint32) error {
 	}
 	if t.waiting >= t.cfg.QueueCap {
 		depth := t.waiting
-		t.shed++
 		t.mu.Unlock()
 		return &BusyError{QueueDepth: depth}
 	}
@@ -215,9 +175,6 @@ func (t *sessionServer) acquire(ctx context.Context, sid uint32) error {
 		t.rr = append(t.rr, sid)
 	}
 	t.waiting++
-	if t.waiting > t.maxDepth {
-		t.maxDepth = t.waiting
-	}
 	t.mu.Unlock()
 
 	if ctx == nil {
@@ -300,8 +257,9 @@ type cachedResult struct {
 }
 
 // Session is one client's server-side state: its serialization cache
-// and its request counters. It implements Remote, so a client can talk
-// to its session directly in process.
+// and its request counters. Only servers hold sessions — the TCP
+// server's admission and the fleet pool's backends — so a client never
+// talks to one.
 type Session struct {
 	srv *Server
 	// ID names the session on the wire (0 outside the TCP server).
@@ -333,7 +291,7 @@ func (s *Session) Stats() SessionStats {
 	return SessionStats{Requests: s.requests, CacheHits: s.cacheHits}
 }
 
-// Execute implements Remote: the session cache first, then the
+// Execute runs one request: the session cache first, then the
 // Server. It applies no admission control; the caller admits the
 // request first.
 func (s *Session) Execute(ctx context.Context, clientID, class, method string, argBytes []byte,
@@ -417,12 +375,3 @@ func (s *Session) WarmFrom(o *Session) int {
 	s.trim()
 	return copied
 }
-
-// CompiledBody implements Remote: body downloads are control-plane
-// traffic served from the Server's shared body cache, not subject to
-// execution admission.
-func (s *Session) CompiledBody(ctx context.Context, qname string, level jit.Level) (*isa.Code, int, error) {
-	return s.srv.CompiledBody(ctx, qname, level)
-}
-
-var _ Remote = (*Session)(nil)

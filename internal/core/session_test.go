@@ -60,11 +60,6 @@ func TestSessionAdmissionShedsWhenFull(t *testing.T) {
 		t.Fatalf("queued request should be granted on release: %v", err)
 	}
 	ss.release()
-
-	st := ss.stats()
-	if st.Shed != 1 || st.MaxQueueDepth != 1 {
-		t.Errorf("stats %+v, want Shed=1 MaxQueueDepth=1", st)
-	}
 }
 
 // TestSessionAdmissionRoundRobin: a session with a deep queue cannot
@@ -298,7 +293,7 @@ func TestBusyPricedIntoOffloadDecision(t *testing.T) {
 	busy := &busyRemote{inner: c.Server, depth: 7}
 	c.Server = busy
 	prof := c.profiles[p.FindMethod("App", "work")]
-	base := c.RemoteEnergy(prof, 150, float64(c.Link.Chip.TxPower(radio.Class4)))
+	base, _ := c.remoteEnergy(prof, 150, float64(c.Link.Chip.TxPower(radio.Class4)))
 
 	args := []vm.Slot{vm.IntSlot(150)}
 	var lastRate float64
@@ -330,13 +325,13 @@ func TestBusyPricedIntoOffloadDecision(t *testing.T) {
 		t.Errorf("busy replies tripped the breaker %d times", c.Stats.LinkDowns)
 	}
 
-	inflated := c.RemoteEnergy(prof, 150, float64(c.Link.Chip.TxPower(radio.Class4)))
+	inflated, _ := c.remoteEnergy(prof, 150, float64(c.Link.Chip.TxPower(radio.Class4)))
 	if inflated <= base {
 		t.Errorf("remote estimate %v not inflated over %v after sheds", inflated, base)
 	}
 
 	// Successful exchanges decay the estimate back down.
-	c.noteRemoteSuccess()
+	c.noteRemoteSuccessOn("")
 	if c.busyRates[""] >= lastRate {
 		t.Errorf("busy rate %v did not decay after a success", c.busyRates[""])
 	}

@@ -247,7 +247,7 @@ func RunCodeCacheSweepOn(r *Runner, env *Env, runs int, seed uint64) ([]CachePoi
 		if err != nil {
 			return err
 		}
-		client.Exec.Cache.MaxBytes = cacheSizes[i]
+		client.Cache.MaxBytes = cacheSizes[i]
 		e, err := driveScenario(env, client, runs, seed)
 		if err != nil {
 			return err

@@ -56,7 +56,7 @@ import (
 // sixteen.
 //
 // Fairness needs no extra machinery here: a handset has at most one
-// outstanding request (its executor blocks on the exchange), so each
+// outstanding request (the client blocks on the exchange), so each
 // backend's FIFO queue, filled in event order, grants each session at
 // most one slot per rotation — the same round-robin core.TCPServer's
 // admission implements for pipelined transports.
@@ -530,8 +530,8 @@ func (e *engine) arrive(ev event) {
 	bidx := e.pickBackend(r)
 	if bidx < 0 {
 		// Every backend is down: the pool is unreachable, which the
-		// client's executor handles like any outage (timeout listen,
-		// breaker, local fallback).
+		// client handles like any outage (timeout listen, breaker,
+		// local fallback).
 		r.err = fmt.Errorf("%w: fleet: every backend is down", radio.ErrConnectionLost)
 		if e.rec != nil {
 			e.rec.unreachable(r.t)
@@ -618,13 +618,12 @@ func (e *engine) complete(ev event) {
 
 // failBackend takes a backend down at its failure time: every queued
 // request is flushed with a connection-lost error attributed to the
-// backend (the blocked clients wake into their executors' loss
-// machinery, strike that backend's breaker, and re-place on the
-// survivors), running requests complete, and placement stops
-// considering the backend. A flapping backend also schedules its
-// restart and — while the crash falls within the sessions' bounds —
-// its next crash, so the cycle cannot outlive the fleet and spin the
-// event loop forever.
+// backend (the blocked clients wake into their loss machinery, strike
+// that backend's breaker, and re-place on the survivors), running
+// requests complete, and placement stops considering the backend. A
+// flapping backend also schedules its restart and — while the crash
+// falls within the sessions' bounds — its next crash, so the cycle
+// cannot outlive the fleet and spin the event loop forever.
 func (e *engine) failBackend(ev event) {
 	b := e.pool.backends[ev.bidx]
 	b.down = true
@@ -732,12 +731,12 @@ func (g *gate) acquire() { g.ch <- struct{}{} }
 func (g *gate) release() { <-g.ch }
 
 // muxRemote is the Remote each fleet client talks to: a MultiRemote
-// over the pool, so the client prices one candidate per backend and
+// over the pool, so the client prices its offload per backend and
 // sends its pick-cheapest hint. Offload executions go through the
 // engine's virtual-time placement and admission (releasing the
 // client's compute slot while blocked, so a single slot cannot
 // deadlock the fleet), while body downloads are control-plane traffic
-// served directly from the client's session on backend 0.
+// served directly by backend 0's server.
 type muxRemote struct {
 	e    *engine
 	s    *session
@@ -765,11 +764,12 @@ func (m *muxRemote) ExecuteOn(ctx context.Context, backend, clientID, class, met
 	return m.e.submit(m.s, backend, clientID, class, method, argBytes, reqTime, estEnd)
 }
 
+// CompiledBody implements core.Remote, outside admission.
 func (m *muxRemote) CompiledBody(ctx context.Context, qname string, level jit.Level) (*isa.Code, int, error) {
-	return m.e.pool.backends[0].clients[m.s.idx].CompiledBody(ctx, qname, level)
+	return m.e.pool.backends[0].srv.CompiledBody(ctx, qname, level)
 }
 
-// ProbeBackend implements core.BackendProber: the client's half-open
+// ProbeBackend implements core.MultiRemote: the client's half-open
 // per-backend breaker probe, answered from the engine's virtual-time
 // state (releasing the compute slot while blocked, like any exchange).
 func (m *muxRemote) ProbeBackend(ctx context.Context, backend string, at energy.Seconds) error {
@@ -779,4 +779,3 @@ func (m *muxRemote) ProbeBackend(ctx context.Context, backend string, at energy.
 }
 
 var _ core.MultiRemote = (*muxRemote)(nil)
-var _ core.BackendProber = (*muxRemote)(nil)

@@ -270,9 +270,12 @@ func Run(spec Spec) (*Result, error) {
 	if w.Prog == nil || w.Target == nil || w.Prof == nil {
 		return nil, fmt.Errorf("fleet: incomplete workload %q", w.Name)
 	}
-	fp, err := core.NewFleetProgram(w.Prog, w.Target, w.Prof)
-	if err != nil {
-		return nil, err
+	// Each client registers the target as it launches; a bad target
+	// fails the run here, before any client starts.
+	if m := w.Prog.FindMethod(w.Target.Class, w.Target.Method); m == nil {
+		return nil, fmt.Errorf("fleet: no method %s", w.Target.QName())
+	} else if !m.Potential {
+		return nil, fmt.Errorf("fleet: %s is not marked potential", w.Target.QName())
 	}
 	if servers := max(spec.Servers, 1); len(spec.Chaos) > servers {
 		return nil, fmt.Errorf("fleet: chaos specs for %d backends but pool has %d", len(spec.Chaos), servers)
@@ -361,24 +364,17 @@ func Run(spec Spec) (*Result, error) {
 			opts = append(opts, core.WithBreaker(nil))
 		}
 		if spec.Breaker != nil && spec.Breakers != BreakersOff {
-			// Each client owns its copy of the prototype's tuning.
-			proto := *spec.Breaker
-			opts = append(opts, core.WithBreaker(&core.Breaker{
-				Threshold:   proto.Threshold,
-				Cooldown:    proto.Cooldown,
-				MaxCooldown: proto.MaxCooldown,
-				ProbeBytes:  proto.ProbeBytes,
-			}))
+			opts = append(opts, core.WithBreaker(spec.Breaker))
 		}
 		c := core.New(core.ClientConfig{
 			ID:       cs.ID,
-			Shared:   fp,
+			Prog:     w.Prog,
 			Server:   &muxRemote{e: eng, s: fs, gate: g},
 			Channel:  buildChannel(cs, drift),
 			Strategy: cs.Strategy,
 			Seed:     mix(cs.Seed, 0x11),
 		}, opts...)
-		cerr := runClient(c, w, cs, starts[idx], fp)
+		cerr := runClient(c, w, cs, starts[idx])
 		// Harvest before the sessions close, then retire: the engine
 		// drops the clock bound, the pool releases the per-backend
 		// sessions, and the emitter folds + streams the record.
@@ -509,11 +505,11 @@ func (em *emitter) emit(idx int, cr ClientResult, acc *clientAcc) {
 	}
 }
 
-// runClient simulates one handset to completion. The shared fleet
-// program skips per-client compilation; a positive start offsets the
-// client's clock so it joins the arrival curve's diurnal shape.
-func runClient(c *core.Client, w Workload, cs ClientSpec, start energy.Seconds, fp *core.FleetProgram) error {
-	if err := c.RegisterShared(fp); err != nil {
+// runClient simulates one handset to completion. A positive start
+// offsets the client's clock so it joins the arrival curve's diurnal
+// shape.
+func runClient(c *core.Client, w Workload, cs ClientSpec, start energy.Seconds) error {
+	if err := c.Register(w.Target, w.Prof); err != nil {
 		return err
 	}
 	if start > 0 {

@@ -15,8 +15,8 @@ type Placement int
 
 const (
 	// PlaceCheapest honours the client's pick-cheapest hint: the
-	// client prices one remote candidate per backend (base offload
-	// cost inflated by its per-backend busy EWMA) and asks for the
+	// client prices each backend (base offload cost inflated by its
+	// per-backend busy EWMA) and asks for the least busy, which is the
 	// cheapest. The pool only overrides a hint that points at a down
 	// backend, failing over circularly to the next live one.
 	PlaceCheapest Placement = iota
@@ -28,8 +28,8 @@ const (
 	// PlaceP2C is power-of-two-choices: two backends are drawn
 	// pseudo-randomly (from the client ID and its request sequence —
 	// deterministic) and the one with the smaller queue-depth-plus-
-	// running load wins, ties to the lower index. This is the policy
-	// that samples the queue depth the wire protocol advertises.
+	// running load wins, ties to the lower index. The load is read
+	// from the engine's own virtual-time state of each backend.
 	PlaceP2C
 )
 

@@ -80,7 +80,7 @@ func (b *poolBackend) judgeLoss() bool {
 	if b.loss == nil {
 		return false
 	}
-	return b.loss.Judge(radio.DirSend, b.lossRNG).Lost
+	return b.loss.Judge(b.lossRNG)
 }
 
 // NewServerPool builds n backends sharing one program, each shaped by

@@ -207,9 +207,11 @@ func TestSpecRejectsAmbiguousCohort(t *testing.T) {
 }
 
 // TestRunRejectsOutOfRangeInputs: population, chaos and telemetry
-// parameters the models cannot take, NaN and infinities included, fail
-// Run with an error before any client launches, instead of panicking
-// inside the simulation or silently running another spec.
+// parameters the models cannot take, NaN and infinities included, and
+// a target that is missing or not a potential method fail Run with an
+// error before any client launches, instead of panicking inside the
+// simulation, failing client by client, or silently running another
+// spec.
 func TestRunRejectsOutOfRangeInputs(t *testing.T) {
 	w := testWorkload(t)
 	nan, inf := math.NaN(), math.Inf(1)
@@ -223,6 +225,13 @@ func TestRunRejectsOutOfRangeInputs(t *testing.T) {
 	}
 	ticking := cohort()
 	ticking.Telemetry = &TelemetrySpec{Tick: energy.Seconds(nan)}
+	retarget := func(method string) Spec {
+		spec := cohort()
+		tg := *w.Target
+		tg.Method = method
+		spec.Workload.Target = &tg
+		return spec
+	}
 	for _, tc := range []struct {
 		name string
 		spec Spec
@@ -248,6 +257,8 @@ func TestRunRejectsOutOfRangeInputs(t *testing.T) {
 		{"backend brown-out factor NaN", faulty(BackendChaos{BrownoutAt: 0.001, BrownoutFactor: nan}),
 			"fleet: backend s0: brown-out factor NaN"},
 		{"telemetry tick NaN", ticking, "fleet: telemetry tick NaN"},
+		{"target missing", retarget("nope"), "no method MF.nope"},
+		{"target not potential", retarget("median"), "MF.median is not marked potential"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Run(tc.spec)

@@ -58,11 +58,7 @@ func (c *RPCCollector) ConnOpened() {
 func (c *RPCCollector) ConnClosed() { c.connsOpen.Add(-1) }
 
 // Request implements core.RPCMetrics.
-func (c *RPCCollector) Request(op string, reqBytes, respBytes int, failed bool) {
-	status := "ok"
-	if failed {
-		status = "fail"
-	}
+func (c *RPCCollector) Request(op string, reqBytes, respBytes int, status string) {
 	c.requests.Inc("op", op, "status", status)
 	c.reqBytes.Add(float64(reqBytes), "op", op)
 	c.respBytes.Add(float64(respBytes), "op", op)

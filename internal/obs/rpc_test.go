@@ -2,8 +2,8 @@ package obs
 
 import (
 	"context"
-
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -12,8 +12,10 @@ import (
 	"testing"
 
 	"greenvm/internal/core"
+	"greenvm/internal/energy"
 	"greenvm/internal/jit"
 	"greenvm/internal/lang"
+	"greenvm/internal/vm"
 )
 
 const rpcTestSrc = `
@@ -125,6 +127,71 @@ func TestRPCMetricsEndToEnd(t *testing.T) {
 	}
 	if !found {
 		t.Error("/metrics.json lacks rpc_requests_total")
+	}
+}
+
+// TestRPCMetricsCountSheds: an exec the server sheds at admission
+// reads status "busy" on both ends, apart from served and failed
+// requests. Two clients offload one long execution at once to a
+// server with one worker and no queue: whichever arrives second finds
+// the worker taken and is shed.
+func TestRPCMetricsCountSheds(t *testing.T) {
+	prog, err := lang.Compile(rpcTestSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := core.NewTCPServer(core.NewServer(prog), core.SessionConfig{Workers: 1, QueueCap: -1})
+	serverCol := NewRPCCollector(nil)
+	srv.Metrics = serverCol
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l) //nolint:errcheck // returns on Close
+	defer srv.Close()
+
+	// The execution runs long enough (about 0.2 s on a 2-vCPU host) that the
+	// second request lands while the first holds the only worker.
+	args, err := vm.New(prog, energy.MicroSPARCIIep()).Heap.EncodeArgs(
+		prog.FindMethod("App", "work"), []vm.Slot{vm.IntSlot(1000000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientCol := NewRPCCollector(nil)
+	errs := make(chan error, 2)
+	for _, id := range []string{"a", "b"} {
+		remote, err := core.DialServer(l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer remote.Close()
+		remote.Metrics = clientCol
+		go func() {
+			_, _, _, err := remote.Execute(context.Background(), id, "App", "work", args, 0, 0)
+			errs <- err
+		}()
+	}
+	shed := 0
+	for i := 0; i < 2; i++ {
+		if err := <-errs; errors.Is(err, core.ErrServerBusy) {
+			shed++
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if shed != 1 {
+		t.Fatalf("%d of 2 concurrent requests shed, want 1", shed)
+	}
+	srv.Close()
+
+	for side, col := range map[string]*RPCCollector{"server": serverCol, "client": clientCol} {
+		snap := col.Registry().Snapshot()
+		for status, want := range map[string]float64{"ok": 1, "busy": 1} {
+			if v := counterValue(t, snap, "rpc_requests_total",
+				map[string]string{"op": "exec", "status": status}); v != want {
+				t.Errorf("%s: exec %s requests %g, want %g", side, status, v, want)
+			}
+		}
 	}
 }
 

@@ -14,39 +14,15 @@ import (
 // failure process pluggable; every model draws from the link's
 // deterministic rng so seeded experiment grids stay byte-reproducible.
 
-// Direction distinguishes the two halves of an exchange as seen from
-// the client.
-type Direction int
-
-// Transfer directions.
-const (
-	// DirSend is a client transmission (request, upload).
-	DirSend Direction = iota
-	// DirRecv is a client reception (response, download).
-	DirRecv
-)
-
-// String names the direction.
-func (d Direction) String() string {
-	if d == DirSend {
-		return "send"
-	}
-	return "recv"
-}
-
-// Verdict is a fault model's ruling on one transfer.
-type Verdict struct {
-	// Lost reports that the transfer fails with ErrConnectionLost.
-	Lost bool
-}
-
-// FaultModel decides the fate of each transfer on a link. Judge is
-// called exactly once per transfer, in transfer order, with the
-// link's deterministic rng; stateful models (burst processes) advance
-// on every call regardless of outcome, so a model's random stream
-// depends only on the number of transfers, never on their fates.
+// FaultModel decides the fate of each transfer on a link, sends and
+// receptions alike. Judge is called exactly once per transfer, in
+// transfer order, with the link's deterministic rng, and reports
+// whether the transfer is lost (it then fails with ErrConnectionLost);
+// stateful models (burst processes) advance on every call regardless
+// of outcome, so a model's random stream depends only on the number of
+// transfers, never on their fates.
 type FaultModel interface {
-	Judge(dir Direction, r *rng.RNG) Verdict
+	Judge(r *rng.RNG) bool
 }
 
 // IIDLoss loses each transfer independently with probability P — the
@@ -56,8 +32,8 @@ type IIDLoss struct {
 }
 
 // Judge implements FaultModel.
-func (f IIDLoss) Judge(dir Direction, r *rng.RNG) Verdict {
-	return Verdict{Lost: f.P > 0 && r.Float64() < f.P}
+func (f IIDLoss) Judge(r *rng.RNG) bool {
+	return f.P > 0 && r.Float64() < f.P
 }
 
 // GilbertElliott is a two-state burst-outage process: the link
@@ -99,9 +75,9 @@ func (f *GilbertElliott) Down() bool { return f.down }
 // by the current state. Exit probability 1/MeanBurst gives the
 // configured mean burst length; the entry probability is derived so
 // the stationary Down fraction equals OutageRate.
-func (f *GilbertElliott) Judge(dir Direction, r *rng.RNG) Verdict {
+func (f *GilbertElliott) Judge(r *rng.RNG) bool {
 	if f.OutageRate <= 0 {
-		return Verdict{}
+		return false
 	}
 	exitP := 1 / f.MeanBurst
 	enterP := exitP * f.OutageRate / (1 - f.OutageRate)
@@ -122,5 +98,5 @@ func (f *GilbertElliott) Judge(dir Direction, r *rng.RNG) Verdict {
 			f.down = true
 		}
 	}
-	return Verdict{Lost: f.down}
+	return f.down
 }

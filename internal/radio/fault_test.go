@@ -27,7 +27,7 @@ func TestGilbertElliottStationaryRateAndBurstLength(t *testing.T) {
 	losses, bursts, run := 0, 0, 0
 	var runs []int
 	for i := 0; i < n; i++ {
-		if ge.Judge(DirSend, r).Lost {
+		if ge.Judge(r) {
 			losses++
 			run++
 		} else if run > 0 {
@@ -67,7 +67,7 @@ func TestGilbertElliottDeterministic(t *testing.T) {
 		r := rng.New(99)
 		out := make([]bool, 200)
 		for i := range out {
-			out[i] = ge.Judge(DirRecv, r).Lost
+			out[i] = ge.Judge(r)
 		}
 		return out
 	}
@@ -89,24 +89,24 @@ func TestGilbertElliottValidation(t *testing.T) {
 }
 
 func TestFaultStreamIndependentOfOutcome(t *testing.T) {
-	// The models draw the same rng stream whatever the direction mix,
-	// so interleaving sends and receives differently cannot
-	// desynchronize seeded runs.
-	judge := func(dir Direction) []bool {
-		ge, iid := NewGilbertElliott(0.3, 3), IIDLoss{P: 0.2}
-		r := rng.New(11)
-		var out []bool
-		for i := 0; i < 200; i++ {
-			out = append(out, ge.Judge(dir, r).Lost, iid.Judge(dir, r).Lost)
+	// Each model draws one number per transfer, lost or not, so its
+	// random stream depends only on the number of transfers: after n
+	// verdicts the rng stands where n plain draws leave it, and a
+	// different mix of fates cannot desynchronize seeded runs.
+	const n = 200
+	for _, f := range []FaultModel{NewGilbertElliott(0.3, 3), IIDLoss{P: 0.2}} {
+		r, ref := rng.New(11), rng.New(11)
+		var lost []bool
+		for i := 0; i < n; i++ {
+			lost = append(lost, f.Judge(r))
+			ref.Float64()
 		}
-		return out
-	}
-	send, recv := judge(DirSend), judge(DirRecv)
-	if !slices.Equal(send, recv) {
-		t.Error("verdicts depend on the transfer direction")
-	}
-	if !slices.Contains(send, true) || !slices.Contains(send, false) {
-		t.Error("degenerate verdict stream: all lost or none")
+		if r.Uint64() != ref.Uint64() {
+			t.Errorf("%T: the rng position after %d verdicts depends on their fates", f, n)
+		}
+		if !slices.Contains(lost, true) || !slices.Contains(lost, false) {
+			t.Errorf("%T: degenerate verdict stream: all lost or none", f)
+		}
 	}
 }
 

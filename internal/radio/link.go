@@ -80,7 +80,7 @@ func (l *Link) EstimateClass() Class { return l.Tracker.Estimate() }
 // energy, never save it. A lost transfer costs neither time nor
 // energy here; the caller prices the timeout it waits out.
 func (l *Link) Send(payloadBytes int) (energy.Seconds, error) {
-	if l.lost(DirSend) {
+	if l.lost() {
 		return 0, ErrConnectionLost
 	}
 	cls := l.Tracker.Estimate()
@@ -102,7 +102,7 @@ func (l *Link) Send(payloadBytes int) (energy.Seconds, error) {
 // and returning the air time. Reception timing follows the true
 // channel condition (the base station transmits at the right setting).
 func (l *Link) Recv(payloadBytes int) (energy.Seconds, error) {
-	if l.lost(DirRecv) {
+	if l.lost() {
 		return 0, ErrConnectionLost
 	}
 	cls := l.Ch.Current()
@@ -135,9 +135,9 @@ func (l *Link) StepChannel() {
 }
 
 // lost rules on one transfer via the fault model.
-func (l *Link) lost(dir Direction) bool {
+func (l *Link) lost() bool {
 	l.Exchanges++
-	if l.Fault == nil || !l.Fault.Judge(dir, l.r).Lost {
+	if l.Fault == nil || !l.Fault.Judge(l.r) {
 		return false
 	}
 	l.Losses++
