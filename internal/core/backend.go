@@ -52,7 +52,7 @@ type MultiRemote interface {
 	// for no preference); servedBy is the backend that ran the
 	// request.
 	ExecuteOn(ctx context.Context, backend, clientID, class, method string, argBytes []byte,
-		reqTime, estEnd energy.Seconds) (res []byte, servTime energy.Seconds, queued bool, servedBy string, err error)
+		reqTime, estEnd energy.Seconds) (res []byte, servTime energy.Seconds, servedBy string, err error)
 	// ProbeBackend answers the half-open probe of a per-backend circuit
 	// breaker: nil when the named backend is up and reachable at the
 	// client's virtual time at (simulated pools answer from the

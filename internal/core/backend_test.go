@@ -44,26 +44,26 @@ func newFakePool(p *Server, ids ...string) *fakePool {
 func (f *fakePool) Backends() []string { return f.ids }
 
 func (f *fakePool) Execute(ctx context.Context, clientID, class, method string, argBytes []byte,
-	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, bool, error) {
+	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, error) {
 
-	res, servTime, queued, _, err := f.ExecuteOn(ctx, f.ids[0], clientID, class, method, argBytes, reqTime, estEnd)
-	return res, servTime, queued, err
+	res, servTime, _, err := f.ExecuteOn(ctx, f.ids[0], clientID, class, method, argBytes, reqTime, estEnd)
+	return res, servTime, err
 }
 
 func (f *fakePool) ExecuteOn(ctx context.Context, backend, clientID, class, method string, argBytes []byte,
-	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, bool, string, error) {
+	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, string, error) {
 
 	s, ok := f.servers[backend]
 	if !ok {
-		return nil, 0, false, "", fmt.Errorf("fakePool: unknown backend %q", backend)
+		return nil, 0, "", fmt.Errorf("fakePool: unknown backend %q", backend)
 	}
 	if f.down[backend] {
-		return nil, 0, false, backend, &BackendError{Backend: backend,
+		return nil, 0, backend, &BackendError{Backend: backend,
 			Err: fmt.Errorf("%w: fakePool: backend %s is down", radio.ErrConnectionLost, backend)}
 	}
 	f.served[backend]++
-	res, servTime, queued, err := s.Execute(ctx, clientID, class, method, argBytes, reqTime, estEnd)
-	return res, servTime, queued, backend, err
+	res, servTime, err := s.Execute(ctx, clientID, class, method, argBytes, reqTime, estEnd)
+	return res, servTime, backend, err
 }
 
 func (f *fakePool) ProbeBackend(ctx context.Context, backend string, at energy.Seconds) error {

@@ -79,11 +79,13 @@ type Client struct {
 
 	// inputs holds every input this client has executed on, built once
 	// and restored by copy at each later RunExecution. entry is the
-	// input of the RunExecution in flight (nil outside one), and
-	// replays the handset replay memo (see memo.go).
+	// input of the RunExecution in flight (nil outside one), replays
+	// the client's own handset replay memo, and shared the replay tier
+	// behind it, nil unless attached (see memo.go).
 	inputs  map[inputKey]*execInput
 	entry   *inputKey
 	replays map[runKey]energy.Delta
+	shared  *SharedMemo
 
 	lastAcctTime energy.Seconds
 	r            *rng.RNG

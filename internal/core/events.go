@@ -36,7 +36,8 @@ const (
 	// EvEvict is one body unlinked by the code cache's LRU policy.
 	EvEvict
 	// EvMemoHit is one local run of an execution's entry invocation
-	// replayed from the client's memo instead of re-simulated.
+	// replayed from the client's own memo instead of re-simulated. A
+	// replay from a shared memo emits none (see memo.go).
 	EvMemoHit
 	// EvRetry is one re-attempted remote exchange after a loss (its
 	// backoff listen is already charged when it is emitted).
@@ -242,9 +243,11 @@ type Stats struct {
 	RemoteCompiles int
 	// Evictions counts bodies unlinked by the code cache's LRU policy.
 	Evictions int
-	// MemoHits counts invocations replayed from the memo. It counts
-	// host work, not simulated behaviour, so it stays out of the JSON
-	// records.
+	// MemoHits counts the client's repeats of its own local runs,
+	// replayed from its own memo. Replays from a shared memo are left
+	// out, so the count is the same whichever client of a fleet
+	// simulated a run first. It counts host work, not simulated
+	// behaviour, so it stays out of the JSON records.
 	MemoHits int `json:"-"`
 	// Retries counts re-attempted remote exchanges after losses.
 	Retries int

@@ -52,3 +52,7 @@ func PlanBodies(prog *bytecode.Program, m *bytecode.Method) ([3]map[*bytecode.Me
 	bodies, _, err := compilePlanBodies(prog, compilePlan(prog, m))
 	return bodies, err
 }
+
+// SharedReplays returns how many runs this process has replayed from a
+// SharedMemo.
+func SharedReplays() int64 { return sharedReplays.Load() }

@@ -119,8 +119,11 @@ var ErrServerClosed = errors.New("core: server closed")
 // protocolVersion is the wire protocol version this build speaks. v1
 // had no version byte and no session IDs; v2 prefixes every frame with
 // the version, adds the hello handshake, session IDs on exec/compile,
-// and the busy status.
-const protocolVersion = 2
+// and the busy status; v3 drops the queued flag that ended the exec
+// reply, which no client read. Every decoder reads the reply's fields
+// as required, so a v2 peer would fail on a v3 reply: the version
+// changes with the frame.
+const protocolVersion = 3
 
 const (
 	opExec    = 1
@@ -504,7 +507,7 @@ func handle(ctx context.Context, req []byte, s *sessionServer) []byte {
 			// reattach by client ID.
 			sess = s.open(clientID)
 		}
-		res, servTime, queued, err := s.execute(ctx, sess, clientID, class, method, argBytes, reqTime, estEnd)
+		res, servTime, err := s.execute(ctx, sess, clientID, class, method, argBytes, reqTime, estEnd)
 		if err != nil {
 			var busy *BusyError
 			if errors.As(err, &busy) {
@@ -514,13 +517,7 @@ func handle(ctx context.Context, req []byte, s *sessionServer) []byte {
 			return failFrame(err)
 		}
 		out := &wire{}
-		out.u8(statusOK).bytes(res).f64(float64(servTime))
-		if queued {
-			out.u8(1)
-		} else {
-			out.u8(0)
-		}
-		return out.buf
+		return out.u8(statusOK).bytes(res).f64(float64(servTime)).buf
 	case opCompile:
 		m.rdU32() // session ID: body downloads are session-independent
 		qname := m.rdStr()
@@ -787,26 +784,25 @@ func (r *RemoteServer) lost(ctx context.Context, what string, err error) error {
 
 // Execute implements Remote over the wire.
 func (r *RemoteServer) Execute(ctx context.Context, clientID, class, method string, argBytes []byte,
-	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, bool, error) {
+	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, error) {
 
 	sid, err := r.session(ctx, clientID)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, err
 	}
 	req := &wire{}
 	req.u8(opExec).u32(sid).str(clientID).str(class).str(method).bytes(argBytes).
 		f64(float64(reqTime)).f64(float64(estEnd))
 	m, err := r.roundTrip(ctx, req.buf)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, err
 	}
 	res := append([]byte(nil), m.rdBytes()...)
 	servTime := energy.Seconds(m.rdF64())
-	queued := m.rdU8() == 1
 	if m.err != nil {
-		return nil, 0, false, m.err
+		return nil, 0, m.err
 	}
-	return res, servTime, queued, nil
+	return res, servTime, nil
 }
 
 // CompiledBody implements Remote over the wire.

@@ -139,7 +139,7 @@ func TestTCPErrorsPropagate(t *testing.T) {
 	}
 	defer remote.Close()
 
-	if _, _, _, err := remote.Execute(context.Background(), "c", "No", "such", nil, 0, 0); err == nil ||
+	if _, _, err := remote.Execute(context.Background(), "c", "No", "such", nil, 0, 0); err == nil ||
 		!strings.Contains(err.Error(), "no method") {
 		t.Errorf("exec error = %v", err)
 	}
@@ -332,7 +332,7 @@ func TestOversizedRequestRejectedSendSide(t *testing.T) {
 	defer remote.Close()
 
 	big := make([]byte, maxFrame+1)
-	_, _, _, err = remote.Execute(context.Background(), "c", "App", "work", big, 0, 0)
+	_, _, err = remote.Execute(context.Background(), "c", "App", "work", big, 0, 0)
 	var fse *FrameSizeError
 	if !errors.As(err, &fse) {
 		t.Fatalf("error %v, want FrameSizeError", err)

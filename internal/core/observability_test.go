@@ -24,8 +24,8 @@ type failingRemote struct {
 var errServerRefused = errors.New("server refused")
 
 func (f failingRemote) Execute(ctx context.Context, clientID, class, method string, argBytes []byte,
-	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, bool, error) {
-	return nil, 0, false, errServerRefused
+	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, error) {
+	return nil, 0, errServerRefused
 }
 
 func (f failingRemote) CompiledBody(ctx context.Context, qname string, level jit.Level) (*isa.Code, int, error) {

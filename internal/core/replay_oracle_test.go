@@ -62,23 +62,26 @@ func TestGridReplayExact(t *testing.T) {
 	t.Logf("%d local runs replayed", hits)
 }
 
-// TestFleetReplayExact: the 40-client fe chaos fleet of
+// TestFleetReplayExact: fleets write byte-identical client and
+// timeseries JSONL with replay on and off. The records leave out
+// Stats.MemoHits, the one count that differs.
+//
+// chaos is the 40-client fe chaos fleet of
 // TestTelemetryTailIndependentOfHostTiming (two executions per client,
-// a flapping lossy backend and a browned-out one) writes byte-identical
-// client and timeseries JSONL with replay on and off. The records leave
-// out Stats.MemoHits, the one count that differs.
+// a flapping lossy backend and a browned-out one); its clients repeat
+// their own runs. city is shaped like the fleet-city benchmark (mf,
+// diurnal arrivals, overnight drift, 4 p2c backends) with every
+// strategy, two sizes and two executions per client, so interpreted
+// runs and every JIT level are replayed across clients from the run's
+// shared memo, at one and at four concurrent clients.
 func TestFleetReplayExact(t *testing.T) {
-	env, err := experiments.Prepare(apps.FE(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := fleet.WorkloadOf(env)
-	run := func(replay bool) (clients, series []byte, hits int) {
-		defer core.SetReplay(core.SetReplay(replay))
-		var cb, sb bytes.Buffer
-		enc := json.NewEncoder(&cb)
-		res, err := fleet.Run(fleet.Spec{
-			Workload: w,
+	t.Run("chaos", func(t *testing.T) {
+		env, err := experiments.Prepare(apps.FE(), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := fleet.Spec{
+			Workload: fleet.WorkloadOf(env),
 			Population: fleet.NewPopulation(40, fleet.WithSeed(6),
 				fleet.WithStrategyMix(core.StrategyR, core.StrategyAL, core.StrategyAA),
 				fleet.WithExecutions(2), fleet.WithSizes(20000),
@@ -91,34 +94,100 @@ func TestFleetReplayExact(t *testing.T) {
 			},
 			Telemetry:   &fleet.TelemetrySpec{Tick: 0.0005},
 			Concurrency: 1,
-			ResultSink: func(cr fleet.ClientResult) {
-				if cr.Err != "" {
-					t.Errorf("client %s failed: %s", cr.ID, cr.Err)
-				}
-				hits += cr.Stats.MemoHits
-				if err := enc.Encode(cr); err != nil {
-					t.Fatal(err)
-				}
-			},
-		})
+		}
+		on, off := runReplayFleet(t, spec, true), runReplayFleet(t, spec, false)
+		on.same(t, off)
+		if on.hits == 0 || off.hits != 0 {
+			t.Errorf("%d replays with replay on, %d with it off; want some, then none", on.hits, off.hits)
+		}
+		t.Logf("%d local runs replayed", on.hits)
+	})
+	t.Run("city", func(t *testing.T) {
+		env, err := experiments.Prepare(apps.MF(), 42)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := res.Series.WriteJSONL(&sb); err != nil {
+		arrival, err := fleet.ParseArrival("diurnal:0.5")
+		if err != nil {
 			t.Fatal(err)
 		}
-		return cb.Bytes(), sb.Bytes(), hits
+		drift, err := fleet.ParseDrift("overnight")
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := fleet.Spec{
+			Workload: fleet.WorkloadOf(env),
+			Population: fleet.NewPopulation(210, fleet.WithSeed(42),
+				fleet.WithStrategyMix(core.Strategies...),
+				fleet.WithExecutions(2), fleet.WithArrivalCurve(arrival),
+				fleet.WithChannelMix(fleet.ChannelDrifting), fleet.WithChannelDrift(drift),
+				fleet.WithSizes(16, 24)),
+			Server:      core.SessionConfig{Workers: 1, QueueCap: 16},
+			Servers:     4,
+			Placement:   fleet.PlaceP2C,
+			Telemetry:   &fleet.TelemetrySpec{Tick: 0.01},
+			Concurrency: 1,
+		}
+		off := runReplayFleet(t, spec, false)
+		if off.shared != 0 {
+			t.Errorf("%d shared replays with replay off", off.shared)
+		}
+		for _, conc := range []int{1, 4} {
+			spec.Concurrency = conc
+			on := runReplayFleet(t, spec, true)
+			on.same(t, off)
+			if on.shared == 0 {
+				t.Errorf("concurrency %d: no run was replayed from the shared memo", conc)
+			}
+			t.Logf("concurrency %d: %d runs replayed from the shared memo, %d from clients' own", conc, on.shared, on.hits)
+		}
+	})
+}
+
+// replayFleet is one fleet run's output: its client and timeseries
+// JSONL, the clients' own replays (Stats.MemoHits) and the runs
+// replayed from the shared memo.
+type replayFleet struct {
+	clients, series []byte
+	hits            int
+	shared          int64
+}
+
+func runReplayFleet(t *testing.T, spec fleet.Spec, replay bool) replayFleet {
+	t.Helper()
+	defer core.SetReplay(core.SetReplay(replay))
+	var out replayFleet
+	var cb, sb bytes.Buffer
+	enc := json.NewEncoder(&cb)
+	spec.ResultSink = func(cr fleet.ClientResult) {
+		if cr.Err != "" {
+			t.Errorf("client %s failed: %s", cr.ID, cr.Err)
+		}
+		out.hits += cr.Stats.MemoHits
+		if err := enc.Encode(cr); err != nil {
+			t.Fatal(err)
+		}
 	}
-	onClients, onSeries, hits := run(true)
-	offClients, offSeries, offHits := run(false)
-	if !bytes.Equal(onClients, offClients) {
+	shared := core.SharedReplays()
+	res, err := fleet.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.shared = core.SharedReplays() - shared
+	if err := res.Series.WriteJSONL(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out.clients, out.series = cb.Bytes(), sb.Bytes()
+	return out
+}
+
+// same reports where two runs' JSONL differ.
+func (f replayFleet) same(t *testing.T, off replayFleet) {
+	t.Helper()
+	if !bytes.Equal(f.clients, off.clients) {
 		t.Error("client JSONL differs between replay on and off")
 	}
-	if !bytes.Equal(onSeries, offSeries) {
+	if !bytes.Equal(f.series, off.series) {
 		t.Error("timeseries JSONL differs between replay on and off")
 	}
-	if hits == 0 || offHits != 0 {
-		t.Errorf("%d replays with replay on, %d with it off; want some, then none", hits, offHits)
-	}
-	t.Logf("%d local runs replayed", hits)
 }

@@ -143,17 +143,17 @@ func TestServerReplayIsExact(t *testing.T) {
 		seen[k] = true
 		ref.forgetReplays()
 		client := fmt.Sprintf("c%d", i%5)
-		got, gotT, gotQ, err := srv.Execute(ctx, client, "App", q.method, q.args, 0, q.estEnd)
+		got, gotT, err := srv.Execute(ctx, client, "App", q.method, q.args, 0, q.estEnd)
 		if err != nil {
 			t.Fatalf("request %d (%s): %v", i, q.method, err)
 		}
-		want, wantT, wantQ, err := ref.Execute(ctx, client, "App", q.method, q.args, 0, q.estEnd)
+		want, wantT, err := ref.Execute(ctx, client, "App", q.method, q.args, 0, q.estEnd)
 		if err != nil {
 			t.Fatalf("reference request %d (%s): %v", i, q.method, err)
 		}
-		if !bytes.Equal(got, want) || math.Float64bits(float64(gotT)) != math.Float64bits(float64(wantT)) || gotQ != wantQ {
-			t.Fatalf("request %d (%s, replayed %v): got (%x, %v, %v), reference (%x, %v, %v)",
-				i, q.method, hit, got, gotT, gotQ, want, wantT, wantQ)
+		if !bytes.Equal(got, want) || math.Float64bits(float64(gotT)) != math.Float64bits(float64(wantT)) {
+			t.Fatalf("request %d (%s, replayed %v): got (%x, %v), reference (%x, %v)",
+				i, q.method, hit, got, gotT, want, wantT)
 		}
 		gs, ws := srv.Status(client), ref.Status(client)
 		if gs.RequestTime != ws.RequestTime || gs.EstimatedEnd != ws.EstimatedEnd ||
@@ -207,12 +207,12 @@ func TestServerReplayConcurrent(t *testing.T) {
 	want := make([]answer, len(keys))
 	for i, k := range keys {
 		ref.forgetReplays()
-		res, st, _, err := ref.Execute(ctx, "ref", "App", k.method, k.args, 0, 0)
+		res, st, err := ref.Execute(ctx, "ref", "App", k.method, k.args, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = answer{res, st}
-		if _, _, _, err := srv.Execute(ctx, "warm", "App", k.method, k.args, 0, 0); err != nil {
+		if _, _, err := srv.Execute(ctx, "warm", "App", k.method, k.args, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,7 +228,7 @@ func TestServerReplayConcurrent(t *testing.T) {
 			client := fmt.Sprintf("c%d", g)
 			for i := 0; i < perG; i++ {
 				k := (g*7 + i*3) % len(keys)
-				res, st, _, err := srv.Execute(ctx, client, "App", keys[k].method, keys[k].args, 0, 1)
+				res, st, err := srv.Execute(ctx, client, "App", keys[k].method, keys[k].args, 0, 1)
 				if err != nil {
 					errs <- err
 					return

@@ -69,13 +69,12 @@ func (c *Client) run(mode Mode, m *bytecode.Method, t *Target, size float64, arg
 	c.syncClock()
 	start := c.Clock
 	key, replayable := c.replayKey(m, mode)
-	if d, ok := c.replays[key]; replayable && ok {
-		c.VM.Acct.Apply(d)
-		c.Events.Emit(Event{Kind: EvMemoHit, Method: m, Mode: mode, At: c.Clock})
+	if replayable && c.replay(m, key) {
 		c.syncClock()
 		c.emitLocalPhase(m, mode, start)
 		return vm.Slot{}, false, nil
 	}
+	log := c.VM.Placements()
 	snap := c.VM.Acct.Snapshot()
 	c.levelStack = append(c.levelStack, levelOf(mode))
 	res, err := c.VM.Invoke(m, args)
@@ -84,10 +83,7 @@ func (c *Client) run(mode Mode, m *bytecode.Method, t *Target, size float64, arg
 		return res, false, err
 	}
 	if replayable {
-		if c.replays == nil {
-			c.replays = map[runKey]energy.Delta{}
-		}
-		c.replays[key] = c.VM.Acct.DeltaSince(snap)
+		c.record(key, log, c.VM.Acct.DeltaSince(snap))
 	}
 	c.syncClock()
 	c.emitLocalPhase(m, mode, start)
@@ -237,14 +233,14 @@ func (c *Client) remoteExecute(m *bytecode.Method, t *Target, size float64, args
 		hint := c.placementHint()
 		c.lastHint = hint
 		var servedBy string
-		resBytes, servTime, _, servedBy, err = mr.ExecuteOn(c.invokeCtx(), hint, c.ID,
+		resBytes, servTime, servedBy, err = mr.ExecuteOn(c.invokeCtx(), hint, c.ID,
 			t.Class, t.Method, argBytes, reqTime, reqTime+estServ)
 		c.lastServed = servedBy
 		if err == nil && servedBy != "" {
 			c.Events.Emit(Event{Kind: EvPlace, Method: m, At: reqTime, Backend: servedBy})
 		}
 	} else {
-		resBytes, servTime, _, err = c.Server.Execute(c.invokeCtx(), c.ID,
+		resBytes, servTime, err = c.Server.Execute(c.invokeCtx(), c.ID,
 			t.Class, t.Method, argBytes, reqTime, reqTime+estServ)
 	}
 	if err != nil {

@@ -22,7 +22,7 @@ import (
 // overloaded implementation may reject with a BusyError.
 type Remote interface {
 	Execute(ctx context.Context, clientID, class, method string, argBytes []byte,
-		reqTime, estEnd energy.Seconds) (resBytes []byte, serverTime energy.Seconds, queued bool, err error)
+		reqTime, estEnd energy.Seconds) (resBytes []byte, serverTime energy.Seconds, err error)
 	CompiledBody(ctx context.Context, qname string, level jit.Level) (*isa.Code, int, error)
 }
 
@@ -155,10 +155,8 @@ func (s *Server) Status(clientID string) *MobileStatus {
 }
 
 // noteRequest updates the client's mobile status table row for one
-// request and reports whether the result had to be queued (the server
-// finished before the client's estimated wake time). It is shared by
-// Execute and the session layer's cache-hit path.
-func (s *Server) noteRequest(clientID string, reqTime, estEnd, serverTime energy.Seconds, resBytes []byte) bool {
+// request served from the session layer's cache.
+func (s *Server) noteRequest(clientID string, reqTime, estEnd, serverTime energy.Seconds, resBytes []byte) {
 	st := s.Status(clientID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -173,22 +171,20 @@ func (s *Server) noteRequest(clientID string, reqTime, estEnd, serverTime energy
 	} else {
 		st.Queued = false
 	}
-	return st.Queued
 }
 
 // Execute reflectively invokes class.method with the serialized
 // arguments and returns the serialized result plus the server
-// computation time. reqTime and estEnd update the mobile status table;
-// queued reports whether the result had to wait for the client to
-// wake. A request whose method and arguments the server has executed
+// computation time. reqTime and estEnd update the mobile status table.
+// A request whose method and arguments the server has executed
 // recently replays the recorded result and VM time instead of running
 // again (see replayMemo).
 func (s *Server) Execute(ctx context.Context, clientID, class, method string, argBytes []byte,
-	reqTime, estEnd energy.Seconds) (resBytes []byte, serverTime energy.Seconds, queued bool, err error) {
+	reqTime, estEnd energy.Seconds) (resBytes []byte, serverTime energy.Seconds, err error) {
 
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, false, err
+			return nil, 0, err
 		}
 	}
 
@@ -197,7 +193,7 @@ func (s *Server) Execute(ctx context.Context, clientID, class, method string, ar
 
 	m := s.Prog.FindMethod(class, method)
 	if m == nil {
-		return nil, 0, false, fmt.Errorf("core: server has no method %s.%s", class, method)
+		return nil, 0, fmt.Errorf("core: server has no method %s.%s", class, method)
 	}
 	st, ok := s.status[clientID]
 	if !ok {
@@ -211,7 +207,7 @@ func (s *Server) Execute(ctx context.Context, clientID, class, method string, ar
 	e, ok := s.replay.entries[key]
 	if !ok {
 		if e, err = s.run(m, argBytes); err != nil {
-			return nil, 0, false, err
+			return nil, 0, err
 		}
 		s.replay.put(key, e)
 	}
@@ -224,11 +220,10 @@ func (s *Server) Execute(ctx context.Context, clientID, class, method string, ar
 	if reqTime+serverTime < estEnd {
 		st.LastResult = resBytes
 		st.Queued = true
-		queued = true
 	} else {
 		st.Queued = false
 	}
-	return resBytes, serverTime, queued, nil
+	return resBytes, serverTime, nil
 }
 
 // run executes m on the server VM from a fresh heap, flushed caches

@@ -144,10 +144,10 @@ func (t *sessionServer) lookup(id uint32) *Session {
 // queue sheds the request with a BusyError before any server work
 // happens.
 func (t *sessionServer) execute(ctx context.Context, sess *Session, clientID, class, method string, argBytes []byte,
-	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, bool, error) {
+	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, error) {
 
 	if err := t.acquire(ctx, sess.ID); err != nil {
-		return nil, 0, false, err
+		return nil, 0, err
 	}
 	defer t.release()
 	return sess.Execute(ctx, clientID, class, method, argBytes, reqTime, estEnd)
@@ -295,11 +295,11 @@ func (s *Session) Stats() SessionStats {
 // Server. It applies no admission control; the caller admits the
 // request first.
 func (s *Session) Execute(ctx context.Context, clientID, class, method string, argBytes []byte,
-	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, bool, error) {
+	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, error) {
 
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, false, err
+			return nil, 0, err
 		}
 	}
 	key := class + "\x00" + method + "\x00" + string(argBytes)
@@ -313,22 +313,22 @@ func (s *Session) Execute(ctx context.Context, clientID, class, method string, a
 			// A cache hit skips execution: only the dispatch overhead
 			// is spent, and the mobile status table still advances.
 			servTime := s.srv.RequestOverhead
-			queued := s.srv.noteRequest(clientID, reqTime, estEnd, servTime, res)
-			return res, servTime, queued, nil
+			s.srv.noteRequest(clientID, reqTime, estEnd, servTime, res)
+			return res, servTime, nil
 		}
 	}
 	s.mu.Unlock()
 
-	res, servTime, queued, err := s.srv.Execute(ctx, clientID, class, method, argBytes, reqTime, estEnd)
+	res, servTime, err := s.srv.Execute(ctx, clientID, class, method, argBytes, reqTime, estEnd)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, err
 	}
 	s.mu.Lock()
 	s.cache = append(s.cache, cachedResult{key: key, res: res})
 	s.cacheBytes += len(key) + len(res)
 	s.trim()
 	s.mu.Unlock()
-	return res, servTime, queued, nil
+	return res, servTime, nil
 }
 
 // trim evicts the oldest cache entries until the cache is within its

@@ -151,7 +151,7 @@ func TestBusyOverTCP(t *testing.T) {
 	if err := ss.acquire(nil, 999); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, err = remote.Execute(context.Background(), "c", "App", "work", argBytes, 0, 0)
+	_, _, err = remote.Execute(context.Background(), "c", "App", "work", argBytes, 0, 0)
 	var busy *BusyError
 	if !errors.Is(err, ErrServerBusy) || !errors.As(err, &busy) {
 		t.Fatalf("shed RPC returned %v, want a BusyError", err)
@@ -162,7 +162,7 @@ func TestBusyOverTCP(t *testing.T) {
 
 	// Release the worker: the same connection serves the retry.
 	ss.release()
-	if _, _, _, err := remote.Execute(context.Background(), "c", "App", "work", argBytes, 0, 0); err != nil {
+	if _, _, err := remote.Execute(context.Background(), "c", "App", "work", argBytes, 0, 0); err != nil {
 		t.Fatalf("retry after the busy reply failed: %v", err)
 	}
 }
@@ -274,9 +274,9 @@ type busyRemote struct {
 }
 
 func (b *busyRemote) Execute(ctx context.Context, clientID, class, method string, argBytes []byte,
-	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, bool, error) {
+	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, error) {
 	b.calls++
-	return nil, 0, false, &BusyError{QueueDepth: b.depth}
+	return nil, 0, &BusyError{QueueDepth: b.depth}
 }
 
 func (b *busyRemote) CompiledBody(ctx context.Context, qname string, level jit.Level) (*isa.Code, int, error) {

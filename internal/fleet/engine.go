@@ -160,7 +160,6 @@ type request struct {
 	// ran the request.
 	res      []byte
 	servTime energy.Seconds
-	queued   bool
 	servedBy string
 	err      error
 	done     chan struct{}
@@ -408,7 +407,7 @@ func (e *engine) launchOne(idx int32) {
 // answered — served after its virtual wait, shed, or failed over. The
 // caller must not hold a compute slot (see muxRemote).
 func (e *engine) submit(s *session, hint, clientID, class, method string, argBytes []byte,
-	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, bool, string, error) {
+	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, string, error) {
 
 	r := &request{
 		sess: s, t: reqTime, hint: hint,
@@ -427,7 +426,7 @@ func (e *engine) submit(s *session, hint, clientID, class, method string, argByt
 	e.process()
 	e.mu.Unlock()
 	<-r.done
-	return r.res, r.servTime, r.queued, r.servedBy, r.err
+	return r.res, r.servTime, r.servedBy, r.err
 }
 
 // probe asks whether the named backend is up at the given virtual
@@ -677,7 +676,7 @@ func (e *engine) start(q *request, b *poolBackend, at energy.Seconds) {
 		}
 	}
 	q.sess.home = b.idx
-	res, servTime, queued, err := b.clients[q.sess.idx].Execute(context.Background(),
+	res, servTime, err := b.clients[q.sess.idx].Execute(context.Background(),
 		q.clientID, q.class, q.method, q.argBytes, q.t, q.estEnd)
 	if err != nil {
 		q.err = err
@@ -704,7 +703,7 @@ func (e *engine) start(q *request, b *poolBackend, at energy.Seconds) {
 	if e.rec != nil {
 		e.rec.served(at, b.idx, wait)
 	}
-	q.res, q.servTime, q.queued, q.servedBy = res, wait+servTime, queued, b.id
+	q.res, q.servTime, q.servedBy = res, wait+servTime, b.id
 	e.doneSeq++
 	heap.Push(&e.events, event{t: at + servTime, kind: evDone, tie: e.doneSeq, req: q, bidx: b.idx})
 	e.answer(q, at+servTime)
@@ -748,16 +747,16 @@ func (m *muxRemote) Backends() []string { return m.e.pool.ids }
 
 // Execute implements core.Remote (no placement hint).
 func (m *muxRemote) Execute(ctx context.Context, clientID, class, method string, argBytes []byte,
-	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, bool, error) {
+	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, error) {
 
-	res, servTime, queued, _, err := m.ExecuteOn(ctx, "", clientID, class, method, argBytes, reqTime, estEnd)
-	return res, servTime, queued, err
+	res, servTime, _, err := m.ExecuteOn(ctx, "", clientID, class, method, argBytes, reqTime, estEnd)
+	return res, servTime, err
 }
 
 // ExecuteOn implements core.MultiRemote: the hint rides to the
 // engine, whose placement policy decides.
 func (m *muxRemote) ExecuteOn(ctx context.Context, backend, clientID, class, method string, argBytes []byte,
-	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, bool, string, error) {
+	reqTime, estEnd energy.Seconds) ([]byte, energy.Seconds, string, error) {
 
 	m.gate.release()
 	defer m.gate.acquire()

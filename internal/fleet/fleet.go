@@ -336,6 +336,13 @@ func Run(spec Spec) (*Result, error) {
 		em.accs = make([]*clientAcc, n)
 	}
 
+	// One shared replay memo per run, never longer: a memo that
+	// outlived the run would turn a later run's simulations into
+	// lookups. Its key leaves out the CPU model, cache geometry and
+	// code-cache budget; every client below is built by core.New with
+	// its model and the default budget, so they all agree on them.
+	memo := core.NewSharedMemo()
+
 	var wg sync.WaitGroup
 	wg.Add(n)
 	eng.launch = func(idx int) {
@@ -349,7 +356,7 @@ func Run(spec Spec) (*Result, error) {
 		g.acquire()
 		pool.openAt(idx)
 		var acc *clientAcc
-		var opts []core.Option
+		opts := []core.Option{core.WithSharedMemo(memo)}
 		if rec != nil {
 			acc = newClientAcc(float64(spec.Telemetry.Tick))
 			opts = append(opts, core.WithSink(acc))

@@ -66,7 +66,7 @@ func TestRPCMetricsEndToEnd(t *testing.T) {
 	if _, _, err := remote.CompiledBody(context.Background(), "App.helper", jit.Level1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := remote.Execute(context.Background(), "c", "App", "nope", nil, 0, 0); err == nil {
+	if _, _, err := remote.Execute(context.Background(), "c", "App", "nope", nil, 0, 0); err == nil {
 		t.Fatal("exec of an unknown method should fail")
 	}
 	remote.Close()
@@ -167,7 +167,7 @@ func TestRPCMetricsCountSheds(t *testing.T) {
 		defer remote.Close()
 		remote.Metrics = clientCol
 		go func() {
-			_, _, _, err := remote.Execute(context.Background(), id, "App", "work", args, 0, 0)
+			_, _, err := remote.Execute(context.Background(), id, "App", "work", args, 0, 0)
 			errs <- err
 		}()
 	}

@@ -56,6 +56,10 @@ type VM struct {
 	bcInfo    map[*bytecode.Method]*bcLayout
 	depth     int
 
+	// placed is the placement log: every native body and bytecode
+	// stream placed so far, in order (see Placement).
+	placed []Placement
+
 	// slotArena backs interpreter frames (locals + operand stack).
 	// Frames are carved off at slotTop with stack discipline, so one
 	// growable buffer serves the whole call tree without per-invocation
@@ -135,12 +139,42 @@ func (v *VM) ResetRun(img *HeapImage) {
 	v.Hier.Flush()
 }
 
+// Placement is one entry of a VM's placement log: Size bytes placed
+// at Base, either a native body or a method's bytecode stream. A body
+// is named by its first instruction, which every copy of one compiled
+// body shares (jit.CompileCached hands out headers over one slice).
+// Nothing a VM placed ever moves, and the next address depends only on
+// what was placed before, so two VMs of one program with equal logs
+// fetch every placed instruction and bytecode from the same address
+// and place what comes next at the same address.
+type Placement struct {
+	Code   *isa.Instr       // the native body placed, or nil
+	Method *bytecode.Method // the method whose bytecode was placed, or nil
+	Base   uint64
+	Size   uint64
+}
+
+// Placements returns the placement log. Entries never change once
+// logged, so a caller may keep the slice while the VM runs on; it
+// must not modify it.
+func (v *VM) Placements() []Placement { return v.placed[:len(v.placed):len(v.placed)] }
+
 // InstallCode assigns a code address to a compiled body so that its
 // instruction fetches are modelled, and returns it.
 func (v *VM) InstallCode(c *isa.Code) *isa.Code {
-	c.Base = v.codeAlloc.Alloc(uint64(c.SizeBytes()), uint64(isa.BytesPerInstr))
+	p := Placement{Size: uint64(c.SizeBytes())}
+	if len(c.Instrs) > 0 {
+		p.Code = &c.Instrs[0]
+	}
+	c.Base = v.codeAlloc.Alloc(p.Size, uint64(isa.BytesPerInstr))
+	p.Base = c.Base
+	v.placed = append(v.placed, p)
 	return c
 }
+
+// PlaceBytecode places m's bytecode stream as its first interpretation
+// would, unless it is placed already.
+func (v *VM) PlaceBytecode(m *bytecode.Method) { v.layoutOf(m) }
 
 func (v *VM) layoutOf(m *bytecode.Method) *bcLayout {
 	if l, ok := v.bcInfo[m]; ok {
@@ -154,6 +188,7 @@ func (v *VM) layoutOf(m *bytecode.Method) *bcLayout {
 	}
 	l := &bcLayout{base: v.bcAlloc.Alloc(uint64(off), 4), offsets: offs}
 	v.bcInfo[m] = l
+	v.placed = append(v.placed, Placement{Method: m, Base: l.base, Size: uint64(off)})
 	return l
 }
 
